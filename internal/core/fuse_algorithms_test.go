@@ -75,21 +75,26 @@ func TestTileAlgorithmsParallelismInvariant(t *testing.T) {
 
 // TestTileAlgorithmsRealRuntime drives each tile algorithm end to end on
 // the real (goroutine) runtime, the same path the service pool's
-// degraded mode and the examples use.
+// degraded mode and the examples use — bare, and with every worker
+// replicated, where both replicas of a group decode their tile out of the
+// one buffer the manager sent (run under -race in CI).
 func TestTileAlgorithmsRealRuntime(t *testing.T) {
 	cube := testScene(t)
 	for _, alg := range tileAlgorithms {
-		opts := Options{Workers: 2, Algorithm: alg}
-		seq, err := Sequential(cube, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := Fuse(scplib.NewRealSystem(), cube, opts)
-		if err != nil {
-			t.Fatalf("%s: %v", alg, err)
-		}
-		if !imagesEqual(res.Image, seq.Image) {
-			t.Fatalf("%s: real-runtime composite differs from sequential", alg)
+		for _, replication := range []int{1, 2} {
+			opts := Options{Workers: 2, Algorithm: alg, Replication: replication,
+				HeartbeatPeriod: 0.02, FailTimeout: 0.2, RequestTimeout: 30}
+			seq, err := Sequential(cube, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := Fuse(scplib.NewRealSystem(), cube, opts)
+			if err != nil {
+				t.Fatalf("%s r%d: %v", alg, replication, err)
+			}
+			if !imagesEqual(res.Image, seq.Image) {
+				t.Fatalf("%s r%d: real-runtime composite differs from sequential", alg, replication)
+			}
 		}
 	}
 }

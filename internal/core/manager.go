@@ -237,7 +237,7 @@ func (m *manager) sendScreen(idx int, to resilient.LogicalID) error {
 		return err
 	}
 	m.tr.Stage("ingest", idx, ingestT0, m.tr.Now())
-	payload, err := EncodeScreenReq(&ScreenReq{Range: m.ranges[idx], Cube: tile})
+	frame, err := AppendScreenReq(resilient.NewFrame(0), &ScreenReq{Range: m.ranges[idx], Cube: tile})
 	if err != nil {
 		return err
 	}
@@ -245,7 +245,7 @@ func (m *manager) sendScreen(idx int, to resilient.LogicalID) error {
 	if m.screenT0[idx] < 0 {
 		m.screenT0[idx] = m.tr.Now()
 	}
-	return m.env.Send(to, KindScreenReq, payload)
+	return m.env.SendFrame(to, KindScreenReq, frame)
 }
 
 // screenPhase distributes sub-cubes dynamically: each worker starts with
@@ -339,7 +339,7 @@ func (m *manager) sendFuse(idx int, to resilient.LogicalID) error {
 		return err
 	}
 	m.tr.Stage("ingest", idx, ingestT0, m.tr.Now())
-	payload, err := EncodeFuseReq(&FuseReq{Range: m.ranges[idx], Cube: tile})
+	frame, err := AppendFuseReq(resilient.NewFrame(0), &FuseReq{Range: m.ranges[idx], Cube: tile})
 	if err != nil {
 		return err
 	}
@@ -347,7 +347,7 @@ func (m *manager) sendFuse(idx int, to resilient.LogicalID) error {
 	if m.fuseT0[idx] < 0 {
 		m.fuseT0[idx] = m.tr.Now()
 	}
-	return m.env.Send(to, KindFuseReq, payload)
+	return m.env.SendFrame(to, KindFuseReq, frame)
 }
 
 // fusePhase is the whole run for tile-kernel algorithms: sub-cubes are
@@ -457,7 +457,7 @@ func (m *manager) covariancePhase(members []linalg.Vector, mean linalg.Vector) (
 		if m.covT0[p] < 0 {
 			m.covT0[p] = m.tr.Now()
 		}
-		return m.env.Send(resilient.LogicalID(p%P+1), KindCovReq, EncodeCovReq(req))
+		return m.env.SendFrame(resilient.LogicalID(p%P+1), KindCovReq, AppendCovReq(resilient.NewFrame(0), req))
 	}
 	for p := 0; p < P; p++ {
 		if err := send(p); err != nil {
@@ -528,14 +528,14 @@ func (m *manager) transformPhase(mean linalg.Vector, transform *linalg.Matrix, s
 			}
 			req.Cube = tile
 		}
-		payload, err := EncodeTransformReq(req)
+		frame, err := AppendTransformReq(resilient.NewFrame(0), req)
 		if err != nil {
 			return err
 		}
 		if m.tfT0[idx] < 0 {
 			m.tfT0[idx] = m.tr.Now()
 		}
-		return m.env.Send(m.owner[idx], KindTransformReq, payload)
+		return m.env.SendFrame(m.owner[idx], KindTransformReq, frame)
 	}
 	for idx := range m.ranges {
 		if err := send(idx, false); err != nil {
@@ -596,17 +596,16 @@ func (m *manager) transformPhase(mean linalg.Vector, transform *linalg.Matrix, s
 	return img, nil
 }
 
-// blitRGB copies a worker's RGB slab into the composite.
+// blitRGB widens a worker's RGB slab into the composite's RGBA rows.
 func blitRGB(img *image.RGBA, resp *TransformResp) {
+	w := resp.Width
 	for row := 0; row < resp.Range.Rows(); row++ {
-		y := resp.Range.Y0 + row
-		for x := 0; x < resp.Width; x++ {
-			src := (row*resp.Width + x) * 3
-			dst := img.PixOffset(x, y)
-			img.Pix[dst] = resp.RGB[src]
-			img.Pix[dst+1] = resp.RGB[src+1]
-			img.Pix[dst+2] = resp.RGB[src+2]
-			img.Pix[dst+3] = 0xFF
+		src := resp.RGB[row*w*3 : (row+1)*w*3]
+		dst := img.Pix[(resp.Range.Y0+row)*img.Stride:][:w*4]
+		for x := 0; x < w; x++ {
+			s := src[3*x : 3*x+3 : 3*x+3]
+			d := dst[4*x : 4*x+4 : 4*x+4]
+			d[0], d[1], d[2], d[3] = s[0], s[1], s[2], 0xFF
 		}
 	}
 }

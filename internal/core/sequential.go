@@ -108,11 +108,11 @@ func Sequential(cube *hsi.Cube, opts Options) (*Result, error) {
 			Transform: transform,
 			Stretches: stretches,
 		}
-		resp, _, err := transformSlab(sub, req, opts.Parallelism, opts.Cost)
-		if err != nil {
+		rgb := make([]byte, sub.Cube.Pixels()*3)
+		if _, err := transformSlab(sub, req, opts.Parallelism, opts.Cost, rgb); err != nil {
 			return nil, err
 		}
-		blitRGB(img, resp)
+		blitRGB(img, &TransformResp{Range: sub.Range, Width: cube.Width, RGB: rgb})
 	}
 	res.Image = img
 	res.completed = true

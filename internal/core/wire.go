@@ -9,7 +9,6 @@
 package core
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -18,6 +17,7 @@ import (
 	"resilientfusion/internal/colormap"
 	"resilientfusion/internal/hsi"
 	"resilientfusion/internal/linalg"
+	"resilientfusion/internal/resilient"
 	"resilientfusion/internal/spectral"
 )
 
@@ -53,18 +53,30 @@ var ErrWire = errors.New("core: malformed wire payload")
 
 // --- primitives ---
 //
-// The float64 payloads (unique-set vectors, covariance matrices, the
-// transform) are encoded and decoded in bulk: exact-size buffers filled
-// by tight PutUint64/Uint64 loops, not per-element Buffer.Write calls —
-// the codec cost the manager pays per message is one pass over the
-// bytes. Vector sets additionally decode into a single staging backing
-// (two allocations total, mirroring hsi.Cube.PixelRows) instead of one
+// Every encoder is append-style: AppendX grows dst once by the message's
+// exact size and writes the fields in place behind whatever dst already
+// holds, so a sender that starts from resilient.NewFrame gets its message
+// laid out behind reserved header room and the layers below never copy it
+// (EncodeX is AppendX onto nil). Float payloads — sub-cube samples,
+// unique-set vectors, covariance matrices, the transform — are encoded
+// and decoded in bulk by tight loops, one pass over the bytes. Vector
+// sets additionally decode into a single staging backing (two
+// allocations total, mirroring hsi.Cube.PixelRows) instead of one
 // allocation per vector.
 
-func putU32(b *bytes.Buffer, v uint32) {
-	var tmp [4]byte
-	binary.LittleEndian.PutUint32(tmp[:], v)
-	b.Write(tmp[:])
+var appendU32 = binary.LittleEndian.AppendUint32
+
+// grow returns dst with room for n more bytes, reallocating at most once
+// and to exactly that size. (slices.Grow rounds up, and under the race
+// detector allocates the extension twice, which would blur the copy-budget
+// tests CI runs with -race.)
+func grow(dst []byte, n int) []byte {
+	if cap(dst)-len(dst) >= n {
+		return dst
+	}
+	out := make([]byte, len(dst), len(dst)+n)
+	copy(out, dst)
+	return out
 }
 
 // encodeF64s fills dst (exactly 8·len(vs) bytes) with vs little-endian.
@@ -83,16 +95,20 @@ func decodeF64s(src []byte, dst []float64) {
 	}
 }
 
-// putF64s appends vs to a buffer in bulk chunks (for the encoders that
-// mix floats with variable-size parts and keep a bytes.Buffer).
-func putF64s(b *bytes.Buffer, vs []float64) {
-	var scratch [64 * 8]byte
-	for len(vs) > 0 {
-		n := min(64, len(vs))
-		encodeF64s(scratch[:8*n], vs[:n])
-		b.Write(scratch[:8*n])
-		vs = vs[n:]
+// appendF64s appends vs to dst (which the caller has already grown).
+func appendF64s(dst []byte, vs []float64) []byte {
+	n := len(dst)
+	dst = dst[:n+8*len(vs)]
+	encodeF64s(dst[n:], vs)
+	return dst
+}
+
+// appendVectors appends a vector set back to back.
+func appendVectors(dst []byte, vs []linalg.Vector) []byte {
+	for _, v := range vs {
+		dst = appendF64s(dst, v)
 	}
+	return dst
 }
 
 type reader struct {
@@ -159,18 +175,17 @@ type ScreenReq struct {
 	Cube  *hsi.Cube
 }
 
-// EncodeScreenReq serializes a screening request.
-func EncodeScreenReq(req *ScreenReq) ([]byte, error) {
-	var b bytes.Buffer
-	b.Grow(12 + int(req.Cube.EncodedSize()))
-	putU32(&b, uint32(req.Range.Index))
-	putU32(&b, uint32(req.Range.Y0))
-	putU32(&b, uint32(req.Range.Y1))
-	if _, err := req.Cube.WriteTo(&b); err != nil {
-		return nil, err
-	}
-	return b.Bytes(), nil
+// AppendScreenReq appends a serialized screening request to dst.
+func AppendScreenReq(dst []byte, req *ScreenReq) ([]byte, error) {
+	dst = grow(dst, 12+int(req.Cube.EncodedSize()))
+	dst = appendU32(dst, uint32(req.Range.Index))
+	dst = appendU32(dst, uint32(req.Range.Y0))
+	dst = appendU32(dst, uint32(req.Range.Y1))
+	return req.Cube.AppendTo(dst)
 }
+
+// EncodeScreenReq serializes a screening request.
+func EncodeScreenReq(req *ScreenReq) ([]byte, error) { return AppendScreenReq(nil, req) }
 
 // DecodeScreenReq parses a screening request.
 func DecodeScreenReq(p []byte) (*ScreenReq, error) {
@@ -197,12 +212,12 @@ func DecodeScreenReq(p []byte) (*ScreenReq, error) {
 	}, nil
 }
 
-// readWireCube decodes an embedded cube, bounding the decoder by the
-// bytes actually present: a valid encoding never claims more than its
-// payload holds, so the limit only rejects corrupt headers — before
-// they can demand a giant sample allocation.
+// readWireCube decodes an embedded cube straight out of the payload. The
+// bytes present bound the decoder: a valid encoding never claims more
+// than its payload holds, so a corrupt header is rejected before it can
+// demand a giant sample allocation.
 func readWireCube(p []byte) (*hsi.Cube, error) {
-	cube, err := hsi.ReadCubeLimit(bytes.NewReader(p), int64(len(p)))
+	cube, err := hsi.DecodeCube(p)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrWire, err)
 	}
@@ -226,27 +241,26 @@ type ScreenResp struct {
 // large sub-cubes).
 const screenRespHeader = 12 + 24
 
-// EncodeScreenResp serializes a screening response into one exact-size
-// buffer (all vectors share the unique set's dimension).
-func EncodeScreenResp(resp *ScreenResp) []byte {
+// AppendScreenResp appends a serialized screening response to dst (all
+// vectors share the unique set's dimension).
+func AppendScreenResp(dst []byte, resp *ScreenResp) []byte {
 	n := 0
 	if len(resp.Vectors) > 0 {
 		n = len(resp.Vectors[0])
 	}
-	buf := make([]byte, screenRespHeader+8*len(resp.Vectors)*n)
-	binary.LittleEndian.PutUint32(buf[0:], uint32(resp.Index))
-	binary.LittleEndian.PutUint32(buf[4:], uint32(len(resp.Vectors)))
-	binary.LittleEndian.PutUint32(buf[8:], uint32(n))
-	binary.LittleEndian.PutUint64(buf[12:], uint64(resp.Stats.Scanned))
-	binary.LittleEndian.PutUint64(buf[20:], uint64(resp.Stats.Comparisons))
-	binary.LittleEndian.PutUint64(buf[28:], uint64(resp.Stats.SeqComparisons))
-	off := screenRespHeader
-	for _, v := range resp.Vectors {
-		encodeF64s(buf[off:], v)
-		off += 8 * len(v)
-	}
-	return buf
+	dst = grow(dst, screenRespHeader+8*len(resp.Vectors)*n)
+	dst = appendU32(dst, uint32(resp.Index))
+	dst = appendU32(dst, uint32(len(resp.Vectors)))
+	dst = appendU32(dst, uint32(n))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(resp.Stats.Scanned))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(resp.Stats.Comparisons))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(resp.Stats.SeqComparisons))
+	return appendVectors(dst, resp.Vectors)
 }
+
+// EncodeScreenResp serializes a screening response into one exact-size
+// buffer.
+func EncodeScreenResp(resp *ScreenResp) []byte { return AppendScreenResp(nil, resp) }
 
 // DecodeScreenResp parses a screening response; the vectors are views
 // over one staging backing.
@@ -296,22 +310,20 @@ type CovReq struct {
 	Vectors []linalg.Vector
 }
 
+// AppendCovReq appends a serialized covariance request to dst.
+func AppendCovReq(dst []byte, req *CovReq) []byte {
+	n := len(req.Mean)
+	dst = grow(dst, 12+8*n+8*len(req.Vectors)*n)
+	dst = appendU32(dst, uint32(req.Part))
+	dst = appendU32(dst, uint32(len(req.Vectors)))
+	dst = appendU32(dst, uint32(n))
+	dst = appendF64s(dst, req.Mean)
+	return appendVectors(dst, req.Vectors)
+}
+
 // EncodeCovReq serializes a covariance request into one exact-size
 // buffer.
-func EncodeCovReq(req *CovReq) []byte {
-	n := len(req.Mean)
-	buf := make([]byte, 12+8*n+8*len(req.Vectors)*n)
-	binary.LittleEndian.PutUint32(buf[0:], uint32(req.Part))
-	binary.LittleEndian.PutUint32(buf[4:], uint32(len(req.Vectors)))
-	binary.LittleEndian.PutUint32(buf[8:], uint32(n))
-	encodeF64s(buf[12:], req.Mean)
-	off := 12 + 8*n
-	for _, v := range req.Vectors {
-		encodeF64s(buf[off:], v)
-		off += 8 * len(v)
-	}
-	return buf
-}
+func EncodeCovReq(req *CovReq) []byte { return AppendCovReq(nil, req) }
 
 // DecodeCovReq parses a covariance request; the vectors are views over
 // one staging backing.
@@ -351,15 +363,18 @@ type CovResp struct {
 	Sum  *linalg.Matrix
 }
 
-// EncodeCovResp serializes a covariance response into one exact-size
-// buffer (the n×n sum is a single bulk encode).
-func EncodeCovResp(resp *CovResp) []byte {
-	buf := make([]byte, 8+8*len(resp.Sum.Data))
-	binary.LittleEndian.PutUint32(buf[0:], uint32(resp.Part))
-	binary.LittleEndian.PutUint32(buf[4:], uint32(resp.Sum.Rows))
-	encodeF64s(buf[8:], resp.Sum.Data)
-	return buf
+// AppendCovResp appends a serialized covariance response to dst (the n×n
+// sum is a single bulk encode).
+func AppendCovResp(dst []byte, resp *CovResp) []byte {
+	dst = grow(dst, 8+8*len(resp.Sum.Data))
+	dst = appendU32(dst, uint32(resp.Part))
+	dst = appendU32(dst, uint32(resp.Sum.Rows))
+	return appendF64s(dst, resp.Sum.Data)
 }
+
+// EncodeCovResp serializes a covariance response into one exact-size
+// buffer.
+func EncodeCovResp(resp *CovResp) []byte { return AppendCovResp(nil, resp) }
 
 // DecodeCovResp parses a covariance response.
 func DecodeCovResp(p []byte) (*CovResp, error) {
@@ -395,36 +410,34 @@ type TransformReq struct {
 	Cube      *hsi.Cube // optional
 }
 
-// EncodeTransformReq serializes a transform request.
-func EncodeTransformReq(req *TransformReq) ([]byte, error) {
-	var b bytes.Buffer
+// AppendTransformReq appends a serialized transform request to dst.
+func AppendTransformReq(dst []byte, req *TransformReq) ([]byte, error) {
 	size := 24 + 8*(len(req.Mean)+len(req.Transform.Data)+2*len(req.Stretches))
-	if req.Cube != nil {
-		size += int(req.Cube.EncodedSize())
-	}
-	b.Grow(size)
-	putU32(&b, uint32(req.Range.Index))
-	putU32(&b, uint32(req.Range.Y0))
-	putU32(&b, uint32(req.Range.Y1))
 	hasData := uint32(0)
 	if req.Cube != nil {
 		hasData = 1
+		size += int(req.Cube.EncodedSize())
 	}
-	putU32(&b, hasData)
-	putU32(&b, uint32(len(req.Mean)))
-	putU32(&b, uint32(req.Transform.Rows))
-	putF64s(&b, req.Mean)
-	putF64s(&b, req.Transform.Data)
+	dst = grow(dst, size)
+	dst = appendU32(dst, uint32(req.Range.Index))
+	dst = appendU32(dst, uint32(req.Range.Y0))
+	dst = appendU32(dst, uint32(req.Range.Y1))
+	dst = appendU32(dst, hasData)
+	dst = appendU32(dst, uint32(len(req.Mean)))
+	dst = appendU32(dst, uint32(req.Transform.Rows))
+	dst = appendF64s(dst, req.Mean)
+	dst = appendF64s(dst, req.Transform.Data)
 	for _, s := range req.Stretches {
-		putF64s(&b, []float64{s.Center, s.Scale})
+		dst = appendF64s(dst, []float64{s.Center, s.Scale})
 	}
 	if req.Cube != nil {
-		if _, err := req.Cube.WriteTo(&b); err != nil {
-			return nil, err
-		}
+		return req.Cube.AppendTo(dst)
 	}
-	return b.Bytes(), nil
+	return dst, nil
 }
+
+// EncodeTransformReq serializes a transform request.
+func EncodeTransformReq(req *TransformReq) ([]byte, error) { return AppendTransformReq(nil, req) }
 
 // DecodeTransformReq parses a transform request.
 func DecodeTransformReq(p []byte) (*TransformReq, error) {
@@ -496,18 +509,38 @@ type TransformResp struct {
 	RGB   []byte
 }
 
-// EncodeTransformResp serializes a transform response.
-func EncodeTransformResp(resp *TransformResp) []byte {
-	var b bytes.Buffer
-	putU32(&b, uint32(resp.Range.Index))
-	putU32(&b, uint32(resp.Range.Y0))
-	putU32(&b, uint32(resp.Range.Y1))
-	putU32(&b, uint32(resp.Width))
-	b.Write(resp.RGB)
-	return b.Bytes()
+// slabRespHeader is the fixed prefix of a transform response: index, y0,
+// y1, width (u32 each); the RGB slab follows.
+const slabRespHeader = 16
+
+func appendSlabHeader(dst []byte, rr hsi.RowRange, width int) []byte {
+	dst = appendU32(dst, uint32(rr.Index))
+	dst = appendU32(dst, uint32(rr.Y0))
+	dst = appendU32(dst, uint32(rr.Y1))
+	return appendU32(dst, uint32(width))
 }
 
-// DecodeTransformResp parses a transform response.
+// AppendTransformResp appends a serialized transform response to dst.
+func AppendTransformResp(dst []byte, resp *TransformResp) []byte {
+	dst = grow(dst, slabRespHeader+len(resp.RGB))
+	return append(appendSlabHeader(dst, resp.Range, resp.Width), resp.RGB...)
+}
+
+// EncodeTransformResp serializes a transform response.
+func EncodeTransformResp(resp *TransformResp) []byte { return AppendTransformResp(nil, resp) }
+
+// newSlabFrame starts a transform (or fuse) response frame for a tile of
+// the given pixel count: the header is in place and rgb views the slab
+// bytes behind it, so the kernel writes the reply where it will be sent
+// from.
+func newSlabFrame(rr hsi.RowRange, width, pixels int) (frame, rgb []byte) {
+	frame = appendSlabHeader(resilient.NewFrame(slabRespHeader+3*pixels), rr, width)
+	n := len(frame)
+	frame = frame[:n+3*pixels]
+	return frame, frame[n:]
+}
+
+// DecodeTransformResp parses a transform response; RGB is a view into p.
 func DecodeTransformResp(p []byte) (*TransformResp, error) {
 	r := &reader{b: p}
 	idx, err := r.u32()
@@ -537,18 +570,17 @@ func DecodeTransformResp(p []byte) (*TransformResp, error) {
 	return &TransformResp{
 		Range: hsi.RowRange{Index: int(idx), Y0: int(y0), Y1: int(y1)},
 		Width: int(w),
-		RGB:   append([]byte(nil), rgb...),
+		RGB:   rgb,
 	}, nil
 }
 
 // --- CacheMiss: index ---
 
+// AppendCacheMiss appends a serialized cache-miss notice to dst.
+func AppendCacheMiss(dst []byte, index int) []byte { return appendU32(dst, uint32(index)) }
+
 // EncodeCacheMiss serializes a cache-miss notice.
-func EncodeCacheMiss(index int) []byte {
-	var b bytes.Buffer
-	putU32(&b, uint32(index))
-	return b.Bytes()
-}
+func EncodeCacheMiss(index int) []byte { return AppendCacheMiss(nil, index) }
 
 // DecodeCacheMiss parses a cache-miss notice.
 func DecodeCacheMiss(p []byte) (int, error) {
@@ -570,6 +602,9 @@ type FuseReq = ScreenReq
 
 // FuseResp returns a tile's fused RGB slab.
 type FuseResp = TransformResp
+
+// AppendFuseReq appends a serialized tile-fusion request to dst.
+func AppendFuseReq(dst []byte, req *FuseReq) ([]byte, error) { return AppendScreenReq(dst, req) }
 
 // EncodeFuseReq serializes a tile-fusion request.
 func EncodeFuseReq(req *FuseReq) ([]byte, error) { return EncodeScreenReq(req) }

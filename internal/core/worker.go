@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 
 	"resilientfusion/internal/colormap"
@@ -26,7 +25,7 @@ type WorkerState struct {
 	parallelism int // kernel parallelism (0 = GOMAXPROCS)
 	cost        perfmodel.Model
 	cache       map[int]*hsi.SubCube
-	screened    map[int][]byte // encoded ScreenResp by sub-cube
+	screened    map[int][]byte // encoded ScreenResp payload by sub-cube
 	scratch     *Scratch       // optional worker-lifetime buffers
 }
 
@@ -76,11 +75,15 @@ func (ws *WorkerState) UseScratch(s *Scratch) { ws.scratch = s }
 
 // Handle processes one application message and returns the reply to send
 // to the manager, plus the modeled flops the caller must charge (via
-// Compute) before sending. replyKind 0 means no reply (unknown or stale
-// kind). Handle is a deterministic function of the message stream, which
-// is what keeps replicated workers in lockstep (the resilient layer's
-// requirement). KindStop is the caller's business: a dedicated worker
-// thread returns, a pooled worker retires the job's state.
+// Compute) before sending. The reply is a frame (resilient.NewFrame with
+// the encoded response behind its headroom), built once and ready for
+// SendFrame; the payload it was handed is only read, and the decoded
+// sub-cube it caches shares nothing with it. replyKind 0 means no reply
+// (unknown or stale kind). Handle is a deterministic function of the
+// message stream, which is what keeps replicated workers in lockstep (the
+// resilient layer's requirement). KindStop is the caller's business: a
+// dedicated worker thread returns, a pooled worker retires the job's
+// state.
 func (ws *WorkerState) Handle(kind uint16, payload []byte) (replyKind uint16, reply []byte, flops float64, err error) {
 	switch kind {
 	case KindScreenReq:
@@ -91,7 +94,9 @@ func (ws *WorkerState) Handle(kind uint16, payload []byte) (replyKind uint16, re
 		// Reissued requests (manager timeout races) are answered from
 		// the result cache instead of re-screening.
 		if enc, ok := ws.screened[req.Range.Index]; ok {
-			return KindScreenResp, enc, 0, nil
+			// A fresh frame: the first reply's buffer belongs to its
+			// receivers now.
+			return KindScreenResp, resilient.FrameOf(enc), 0, nil
 		}
 		sub := &hsi.SubCube{Range: req.Range, Cube: req.Cube}
 		ws.cache[req.Range.Index] = sub
@@ -104,9 +109,9 @@ func (ws *WorkerState) Handle(kind uint16, payload []byte) (replyKind uint16, re
 		if err != nil {
 			return 0, nil, 0, err
 		}
-		enc := EncodeScreenResp(&ScreenResp{Index: req.Range.Index, Stats: st, Vectors: u.Members})
-		ws.screened[req.Range.Index] = enc
-		return KindScreenResp, enc, ws.cost.ScreenFlops(st, req.Cube.Bands), nil
+		reply := AppendScreenResp(resilient.NewFrame(0), &ScreenResp{Index: req.Range.Index, Stats: st, Vectors: u.Members})
+		ws.screened[req.Range.Index] = reply[resilient.Headroom:]
+		return KindScreenResp, reply, ws.cost.ScreenFlops(st, req.Cube.Bands), nil
 
 	case KindCovReq:
 		req, err := DecodeCovReq(payload)
@@ -125,7 +130,7 @@ func (ws *WorkerState) Handle(kind uint16, payload []byte) (replyKind uint16, re
 		if err := pct.CovarianceSumInto(sum, req.Vectors, req.Mean, ws.parallelism); err != nil {
 			return 0, nil, 0, err
 		}
-		return KindCovResp, EncodeCovResp(&CovResp{Part: req.Part, Sum: sum}),
+		return KindCovResp, AppendCovResp(resilient.NewFrame(0), &CovResp{Part: req.Part, Sum: sum}),
 			ws.cost.CovPartialFlops(len(req.Vectors), len(req.Mean)), nil
 
 	case KindTransformReq:
@@ -141,13 +146,14 @@ func (ws *WorkerState) Handle(kind uint16, payload []byte) (replyKind uint16, re
 		if sub == nil {
 			// Regenerated replica without the cached sub-cube: ask the
 			// manager to resend with data.
-			return KindCacheMiss, EncodeCacheMiss(req.Range.Index), 0, nil
+			return KindCacheMiss, AppendCacheMiss(resilient.NewFrame(4), req.Range.Index), 0, nil
 		}
-		resp, flops, err := transformSlab(sub, req, ws.parallelism, ws.cost)
+		reply, rgb := newSlabFrame(sub.Range, sub.Cube.Width, sub.Cube.Pixels())
+		flops, err := transformSlab(sub, req, ws.parallelism, ws.cost, rgb)
 		if err != nil {
 			return 0, nil, 0, err
 		}
-		return KindTransformResp, EncodeTransformResp(resp), flops, nil
+		return KindTransformResp, reply, flops, nil
 
 	case KindFuseReq:
 		req, err := DecodeFuseReq(payload)
@@ -163,15 +169,14 @@ func (ws *WorkerState) Handle(kind uint16, payload []byte) (replyKind uint16, re
 		// every parallelism. Reissued requests recompute — the kernel is
 		// pure, so the reply is byte-identical and the manager dedupes.
 		pixels := req.Cube.Pixels()
-		rgb := make([]byte, pixels*3)
+		reply, rgb := newSlabFrame(req.Range, req.Cube.Width, pixels)
 		if err := alg.FuseTile(req.Cube, ws.parallelism, rgb); err != nil {
 			return 0, nil, 0, err
 		}
-		resp := &FuseResp{Range: req.Range, Width: req.Cube.Width, RGB: rgb}
 		// Charge the transform-shaped model cost: one pass over the tile's
 		// samples producing 3 output planes, plus the color mapping.
 		flops := ws.cost.TransformFlops(pixels, req.Cube.Bands, 3) + ws.cost.ColorMapFlops(pixels)
-		return KindFuseResp, EncodeFuseResp(resp), flops, nil
+		return KindFuseResp, reply, flops, nil
 	}
 	return 0, nil, 0, nil
 }
@@ -204,7 +209,7 @@ func workerBody(manager resilient.LogicalID, algorithm string, threshold float64
 					return err
 				}
 			}
-			if err := env.Send(manager, replyKind, reply); err != nil {
+			if err := env.SendFrame(manager, replyKind, reply); err != nil {
 				return err
 			}
 		}
@@ -212,17 +217,17 @@ func workerBody(manager resilient.LogicalID, algorithm string, threshold float64
 }
 
 // transformSlab runs steps 7 (PCT projection) and 8 (human-centered
-// color mapping) on one cached sub-cube, returning the RGB slab and the
-// modeled cost. The projection runs through pct's blocked kernel
-// (staged pixel blocks, tiled GEMM, fixed block grid — bit-identical for
-// any parallelism) with the color mapping fused into each block's sink,
-// so no intermediate component cube is materialized.
-func transformSlab(sub *hsi.SubCube, req *TransformReq, parallelism int, cost perfmodel.Model) (*TransformResp, float64, error) {
+// color mapping) on one cached sub-cube, writing the RGB slab into rgb
+// (3 bytes per pixel — the worker passes the slab of its reply frame) and
+// returning the modeled cost. The projection runs through pct's blocked
+// kernel (staged pixel blocks, tiled GEMM, fixed block grid —
+// bit-identical for any parallelism) with the color mapping fused into
+// each block's sink, so no intermediate component cube is materialized.
+func transformSlab(sub *hsi.SubCube, req *TransformReq, parallelism int, cost perfmodel.Model, rgb []byte) (float64, error) {
 	cube := sub.Cube
 	comps := req.Transform.Rows
 	pixels := cube.Pixels()
 
-	rgb := make([]byte, pixels*3)
 	err := pct.TransformBlocks(cube, req.Transform, req.Mean, parallelism,
 		func(lo int, pc *linalg.Matrix) {
 			var c [3]float64
@@ -237,16 +242,7 @@ func transformSlab(sub *hsi.SubCube, req *TransformReq, parallelism int, cost pe
 			}
 		})
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
-	flops := cost.TransformFlops(pixels, cube.Bands, comps) + cost.ColorMapFlops(pixels)
-	return &TransformResp{Range: sub.Range, Width: cube.Width, RGB: rgb}, flops, nil
-}
-
-// subCubeBytes returns the serialized size of a sub-cube message (used
-// by tests asserting the performance model's byte accounting).
-func subCubeBytes(sub *hsi.SubCube) int64 {
-	var b bytes.Buffer
-	_, _ = sub.Cube.WriteTo(&b)
-	return int64(b.Len()) + 12
+	return cost.TransformFlops(pixels, cube.Bands, comps) + cost.ColorMapFlops(pixels), nil
 }

@@ -25,18 +25,35 @@ var ErrBadWire = errors.New("resilient: malformed wire payload")
 //	epoch       uint32
 const rheaderBytes = 24
 
-func encodeApp(from LogicalID, replica int, appKind uint16, lseq uint64, view, epoch uint32, payload []byte) []byte {
-	buf := make([]byte, rheaderBytes+len(payload))
-	binary.LittleEndian.PutUint32(buf[0:], uint32(from))
-	binary.LittleEndian.PutUint16(buf[4:], uint16(replica))
-	binary.LittleEndian.PutUint16(buf[6:], appKind)
-	binary.LittleEndian.PutUint64(buf[8:], lseq)
-	binary.LittleEndian.PutUint32(buf[16:], view)
-	binary.LittleEndian.PutUint32(buf[20:], epoch)
-	copy(buf[rheaderBytes:], payload)
-	return buf
+// Headroom is the spare space a frame reserves in front of its payload
+// (see NewFrame): room for this layer's header, and for the 32-byte job
+// envelope the service pool's REnv stamps instead.
+const Headroom = 32
+
+// NewFrame returns an empty frame for REnv.SendFrame: Headroom reserved
+// bytes, then capacity for size payload bytes. The caller appends the
+// payload behind the headroom (the slice it gets back from append is the
+// frame) and hands the frame to SendFrame, which writes its header into
+// the headroom in place — the payload is never copied again.
+func NewFrame(size int) []byte { return make([]byte, Headroom, Headroom+size) }
+
+// FrameOf copies payload into a fresh frame.
+func FrameOf(payload []byte) []byte { return append(NewFrame(len(payload)), payload...) }
+
+// putAppHeader stamps the application header into wire[:rheaderBytes];
+// the payload already sits behind it.
+func putAppHeader(wire []byte, from LogicalID, replica int, appKind uint16, lseq uint64, view, epoch uint32) {
+	_ = wire[:rheaderBytes]
+	binary.LittleEndian.PutUint32(wire[0:], uint32(from))
+	binary.LittleEndian.PutUint16(wire[4:], uint16(replica))
+	binary.LittleEndian.PutUint16(wire[6:], appKind)
+	binary.LittleEndian.PutUint64(wire[8:], lseq)
+	binary.LittleEndian.PutUint32(wire[16:], view)
+	binary.LittleEndian.PutUint32(wire[20:], epoch)
 }
 
+// decodeApp parses an application message. The returned payload aliases b
+// (message payloads are immutable after Send; see docs/invariants.md).
 func decodeApp(b []byte) (*RMessage, uint32, uint32, error) {
 	if len(b) < rheaderBytes {
 		return nil, 0, 0, fmt.Errorf("%w: app message %d bytes", ErrBadWire, len(b))
@@ -46,7 +63,7 @@ func decodeApp(b []byte) (*RMessage, uint32, uint32, error) {
 		Replica: int(binary.LittleEndian.Uint16(b[4:])),
 		Kind:    binary.LittleEndian.Uint16(b[6:]),
 		LSeq:    binary.LittleEndian.Uint64(b[8:]),
-		Payload: append([]byte(nil), b[rheaderBytes:]...),
+		Payload: b[rheaderBytes:],
 	}
 	view := binary.LittleEndian.Uint32(b[16:])
 	epoch := binary.LittleEndian.Uint32(b[20:])

@@ -161,7 +161,8 @@ func TestSnapshotCodecRoundTrip(t *testing.T) {
 
 func TestWireCodecs(t *testing.T) {
 	// App header.
-	b := encodeApp(7, 1, 42, 99, 3, 2, []byte("payload"))
+	b := append(NewFrame(7), "payload"...)[Headroom-rheaderBytes:]
+	putAppHeader(b, 7, 1, 42, 99, 3, 2)
 	m, view, epoch, err := decodeApp(b)
 	if err != nil {
 		t.Fatal(err)

@@ -61,8 +61,10 @@ var (
 // RMessage is an application message after dedupe: From is the *logical*
 // sender; Kind is the application kind.
 type RMessage struct {
-	From    LogicalID
-	Kind    uint16
+	From LogicalID
+	Kind uint16
+	// Payload is a read-only view into the buffer the message arrived
+	// in, which every replica of the receiving group may share.
 	Payload []byte
 	// Replica is the index of the replica that physically delivered the
 	// accepted copy (diagnostics).
@@ -82,7 +84,14 @@ type REnv interface {
 	// Now returns the runtime clock in seconds.
 	Now() float64
 	// Send multicasts to every live replica of the destination group.
+	// The payload is copied; the caller keeps it.
 	Send(to LogicalID, kind uint16, payload []byte) error
+	// SendFrame is Send without the copy. frame comes from NewFrame with
+	// the payload appended behind its Headroom; the environment writes
+	// its header into the headroom and sends that very buffer, so the
+	// caller gives the frame up: it must not write to it — or send it
+	// again — afterwards. Receivers see Payload as a view into it.
+	SendFrame(to LogicalID, kind uint16, frame []byte) error
 	// Recv returns the next deduplicated application message.
 	Recv() (*RMessage, error)
 	// RecvTimeout is Recv with a deadline in seconds.

@@ -175,18 +175,23 @@ func (w *wrapper) Now() float64    { return w.env.Now() }
 
 func (w *wrapper) Logf(format string, args ...any) { w.env.Logf(format, args...) }
 
-// Send multicasts to every live replica of the destination group. The
-// logical sequence number advances once per logical send, so receivers
-// can collapse the copies.
+// Send copies payload into a fresh frame and sends that.
 func (w *wrapper) Send(to LogicalID, kind uint16, payload []byte) error {
+	return w.SendFrame(to, kind, FrameOf(payload))
+}
+
+// SendFrame multicasts to every live replica of the destination group. The
+// logical sequence number advances once per logical send, so receivers
+// can collapse the copies. The header is stamped into the frame's
+// headroom and every replica is handed the same bytes.
+func (w *wrapper) SendFrame(to LogicalID, kind uint16, frame []byte) error {
 	if kind >= CtrlBase {
 		return ErrBadConfig
 	}
 	w.lseq[to]++
-	seq := w.lseq[to]
-	targets := w.views[to]
-	wire := encodeApp(w.lid, w.replica, kind, seq, w.viewNum, w.epoch, payload)
-	for _, phys := range targets {
+	wire := frame[Headroom-rheaderBytes:]
+	putAppHeader(wire, w.lid, w.replica, kind, w.lseq[to], w.viewNum, w.epoch)
+	for _, phys := range w.views[to] {
 		if err := w.env.Send(phys, kindApp, wire); err != nil {
 			return mapScplibErr(err)
 		}

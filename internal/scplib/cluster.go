@@ -159,6 +159,23 @@ func (s *ClusterSystem) LiveNodes() []int {
 	return nodes
 }
 
+// HasThreadsIn reports whether any thread with an ID in [lo, hi) is still
+// routed by the system: a local thread whose body has not returned, or a
+// remote one whose exit its worker has not reported yet. Killing a thread
+// is asynchronous, so an ID range only becomes reusable once this turns
+// false.
+func (s *ClusterSystem) HasThreadsIn(lo, hi ThreadID) bool {
+	s.mu.Lock()
+	for id := range s.owner {
+		if lo <= id && id < hi {
+			s.mu.Unlock()
+			return true
+		}
+	}
+	s.mu.Unlock()
+	return s.RealSystem.hasIn(lo, hi)
+}
+
 // Close tears the transport down (idempotent): the listener stops, every
 // worker connection is closed, and pending spawn RPCs fail. Local
 // threads are the RealSystem's business (Stop/Wait as usual).
@@ -294,7 +311,9 @@ func (s *ClusterSystem) route(m *Message) error {
 		s.RealSystem.dropped.Add(1)
 		return nil
 	}
-	if err := peer.writeFrame(cfMsg, encodeMsgBody(m)); err != nil {
+	var hdr [frameHeaderBytes]byte
+	putMsgHeader(hdr[:], m)
+	if err := peer.writeFrame(cfMsg, hdr[:], m.Payload); err != nil {
 		s.RealSystem.dropped.Add(1)
 		s.dropPeer(peer)
 	}
@@ -461,11 +480,11 @@ func (s *ClusterSystem) logf(format string, args ...any) {
 	}
 }
 
-func (p *clusterPeer) writeFrame(ftype uint8, body []byte) error {
+func (p *clusterPeer) writeFrame(ftype uint8, body ...[]byte) error {
 	p.m.frameSent(ftype)
 	p.wmu.Lock()
 	defer p.wmu.Unlock()
-	if err := writeClusterFrame(p.w, ftype, body); err != nil {
+	if err := writeClusterFrame(p.w, ftype, body...); err != nil {
 		return err
 	}
 	return p.w.Flush()
@@ -475,16 +494,26 @@ var _ System = (*ClusterSystem)(nil)
 
 // --- cluster frame codecs ---
 
-// writeClusterFrame emits length (type byte + body), type, body.
-func writeClusterFrame(w io.Writer, ftype uint8, body []byte) error {
+// writeClusterFrame emits length (type byte + body), type, body. The body
+// may come in parts (a message's header and its payload), written one
+// after the other exactly as given.
+func writeClusterFrame(w io.Writer, ftype uint8, body ...[]byte) error {
+	n := 1
+	for _, part := range body {
+		n += len(part)
+	}
 	var hdr [5]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(1+len(body)))
+	binary.LittleEndian.PutUint32(hdr[:], uint32(n))
 	hdr[4] = ftype
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
-	_, err := w.Write(body)
-	return err
+	for _, part := range body {
+		if _, err := w.Write(part); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // readClusterFrame decodes one frame, enforcing the same corrupt-length
@@ -505,17 +534,8 @@ func readClusterFrame(r io.Reader) (uint8, []byte, error) {
 	return body[0], body[1:], nil
 }
 
-// encodeMsgBody lays a Message out exactly like the TCPSystem frame body.
-func encodeMsgBody(m *Message) []byte {
-	buf := make([]byte, frameHeaderBytes+len(m.Payload))
-	binary.LittleEndian.PutUint32(buf[0:], uint32(m.From))
-	binary.LittleEndian.PutUint32(buf[4:], uint32(m.To))
-	binary.LittleEndian.PutUint16(buf[8:], m.Kind)
-	binary.LittleEndian.PutUint64(buf[10:], m.Seq)
-	copy(buf[frameHeaderBytes:], m.Payload)
-	return buf
-}
-
+// decodeMsgBody parses a cfMsg body, laid out exactly like the TCPSystem
+// frame body. The payload is a view into b, the frame's own buffer.
 func decodeMsgBody(b []byte) (*Message, error) {
 	if len(b) < frameHeaderBytes {
 		return nil, fmt.Errorf("scplib: short cluster message body (%d bytes)", len(b))
@@ -527,7 +547,7 @@ func decodeMsgBody(b []byte) (*Message, error) {
 		Seq:  binary.LittleEndian.Uint64(b[10:]),
 	}
 	if len(b) > frameHeaderBytes {
-		m.Payload = append([]byte(nil), b[frameHeaderBytes:]...)
+		m.Payload = b[frameHeaderBytes:]
 	}
 	return m, nil
 }

@@ -115,7 +115,9 @@ func DialCluster(addr string, window time.Duration, reg *BodyRegistry) (*Cluster
 			w.sys.deliverLocal(m)
 			return nil
 		}
-		if err := w.writeFrame(cfMsg, encodeMsgBody(m)); err != nil {
+		var hdr [frameHeaderBytes]byte
+		putMsgHeader(hdr[:], m)
+		if err := w.writeFrame(cfMsg, hdr[:], m.Payload); err != nil {
 			w.sys.dropped.Add(1)
 		}
 		return nil
@@ -151,7 +153,7 @@ func (w *ClusterWorker) startPinger() {
 			case <-w.done:
 				return
 			case <-t.C:
-				if err := w.writeFrame(cfPing, nil); err != nil {
+				if err := w.writeFrame(cfPing); err != nil {
 					return
 				}
 			}
@@ -233,10 +235,10 @@ func (w *ClusterWorker) isClosed() bool {
 	return w.closed
 }
 
-func (w *ClusterWorker) writeFrame(ftype uint8, body []byte) error {
+func (w *ClusterWorker) writeFrame(ftype uint8, body ...[]byte) error {
 	w.wmu.Lock()
 	defer w.wmu.Unlock()
-	if err := writeClusterFrame(w.w, ftype, body); err != nil {
+	if err := writeClusterFrame(w.w, ftype, body...); err != nil {
 		return err
 	}
 	return w.w.Flush()

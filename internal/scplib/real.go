@@ -187,6 +187,18 @@ func (s *RealSystem) has(id ThreadID) bool {
 	return ok
 }
 
+// hasIn reports whether any registered local thread has an ID in [lo, hi).
+func (s *RealSystem) hasIn(lo, hi ThreadID) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for id := range s.threads {
+		if lo <= id && id < hi {
+			return true
+		}
+	}
+	return false
+}
+
 // Run starts every spawned thread and blocks until all have finished.
 func (s *RealSystem) Run() error {
 	s.Start()

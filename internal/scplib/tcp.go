@@ -194,20 +194,30 @@ func (s *TCPSystem) sendTCP(m *Message) error {
 	return tc.w.Flush()
 }
 
-// writeFrame encodes one message.
+// putMsgHeader fills the fixed frame body prefix (from, to, kind, seq).
+func putMsgHeader(hdr []byte, m *Message) {
+	_ = hdr[:frameHeaderBytes]
+	binary.LittleEndian.PutUint32(hdr[0:], uint32(m.From))
+	binary.LittleEndian.PutUint32(hdr[4:], uint32(m.To))
+	binary.LittleEndian.PutUint16(hdr[8:], m.Kind)
+	binary.LittleEndian.PutUint64(hdr[10:], m.Seq)
+}
+
+// writeFrame encodes one message: the header, then the payload as the
+// sender handed it over — the two are never joined into a third buffer.
 func writeFrame(w io.Writer, m *Message) error {
-	buf := make([]byte, 4+frameHeaderBytes+len(m.Payload))
-	binary.LittleEndian.PutUint32(buf[0:], uint32(frameHeaderBytes+len(m.Payload)))
-	binary.LittleEndian.PutUint32(buf[4:], uint32(m.From))
-	binary.LittleEndian.PutUint32(buf[8:], uint32(m.To))
-	binary.LittleEndian.PutUint16(buf[12:], m.Kind)
-	binary.LittleEndian.PutUint64(buf[14:], m.Seq)
-	copy(buf[4+frameHeaderBytes:], m.Payload)
-	_, err := w.Write(buf)
+	var hdr [4 + frameHeaderBytes]byte
+	binary.LittleEndian.PutUint32(hdr[0:], uint32(frameHeaderBytes+len(m.Payload)))
+	putMsgHeader(hdr[4:], m)
+	if _, err := w.Write(hdr[:]); err != nil {
+		return err
+	}
+	_, err := w.Write(m.Payload)
 	return err
 }
 
-// readFrame decodes one message.
+// readFrame decodes one message; its payload is a view into the frame's
+// own buffer.
 func readFrame(r io.Reader) (*Message, error) {
 	var lenBuf [4]byte
 	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"slices"
 	"sync"
 
 	"resilientfusion/internal/core"
@@ -198,28 +199,34 @@ func (cl *clusterState) unregister(rt *resilient.Runtime) {
 
 // allocBase hands each job a physical thread ID range disjoint from
 // every other running job's on the shared cluster system. Finished
-// jobs' bases are reused oldest-first (FIFO gives straggler threads on
-// workers the longest time to drain before their IDs recur), so a
-// long-lived daemon's ID space stays bounded; if fresh allocation ever
-// reaches clusterPhysMax it wraps, skipping bases still in use.
+// jobs' bases are reused oldest-first, so a long-lived daemon's ID space
+// stays bounded — but only once the finished job's threads are gone: the
+// manager returns while its own thread, the guardian and the killed
+// replicas are still being reaped (a slower replica may be mid-kernel),
+// and spawning into their IDs fails with a duplicate thread id. A base
+// whose range still has stragglers is passed over in favour of a fresh
+// one; if fresh allocation ever reaches clusterPhysMax it wraps, skipping
+// bases still in use or waiting on the free list.
 func (cl *clusterState) allocBase() scplib.ThreadID {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
-	if len(cl.freeBases) > 0 {
-		base := cl.freeBases[0]
-		cl.freeBases = cl.freeBases[1:]
-		cl.inUse[base] = struct{}{}
-		return base
+	for i, base := range cl.freeBases {
+		if !cl.sys.HasThreadsIn(base, base+clusterPhysStride) {
+			cl.freeBases = append(cl.freeBases[:i], cl.freeBases[i+1:]...)
+			cl.inUse[base] = struct{}{}
+			return base
+		}
 	}
 	// The scan terminates unless every base in [base0, max) is held by a
-	// running job — ~8k concurrent jobs, far beyond what the pool admits.
+	// running or still-draining job — ~8k of them, far beyond what the
+	// pool admits.
 	for {
 		if cl.nextBase+clusterPhysStride > clusterPhysMax {
 			cl.nextBase = clusterPhysBase0
 		}
 		base := cl.nextBase
 		cl.nextBase += clusterPhysStride
-		if _, busy := cl.inUse[base]; !busy {
+		if _, busy := cl.inUse[base]; !busy && !slices.Contains(cl.freeBases, base) {
 			cl.inUse[base] = struct{}{}
 			return base
 		}

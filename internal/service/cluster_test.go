@@ -50,28 +50,79 @@ func startClusterPool(t *testing.T, ccfg ClusterConfig, workers int) (*Pool, []*
 }
 
 // TestClusterBaseRecycling checks that finished jobs' phys-ID bases are
-// reused and that fresh allocation wraps below clusterPhysMax without
-// handing out a running job's base — the disjoint-ID guarantee must hold
-// in a daemon that serves jobs indefinitely.
+// reused — but not while a finished job's threads still occupy the range
+// — and that fresh allocation wraps below clusterPhysMax without handing
+// out a running job's base: the disjoint-ID guarantee must hold in a
+// daemon that serves jobs indefinitely.
 func TestClusterBaseRecycling(t *testing.T) {
-	cl := &clusterState{nextBase: clusterPhysBase0, inUse: make(map[scplib.ThreadID]struct{})}
+	sys, err := scplib.NewClusterSystem("", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	sys.Start()
+	cl := &clusterState{sys: sys, nextBase: clusterPhysBase0, inUse: make(map[scplib.ThreadID]struct{})}
 	a, b := cl.allocBase(), cl.allocBase()
 	if a == b {
 		t.Fatalf("allocBase handed out %d twice", a)
 	}
+
+	// A straggler of the finished job (its manager thread, say) still
+	// holds an ID in a's range: a must not be handed out again yet.
+	if err := sys.Spawn(scplib.ThreadSpec{ID: a + 3, Name: "straggler", Body: func(env scplib.Env) error {
+		_, err := env.Recv()
+		return err
+	}}); err != nil {
+		t.Fatal(err)
+	}
 	cl.releaseBase(a)
 	c := cl.allocBase()
-	if c != a {
-		t.Fatalf("freed base %d not reused, got %d", a, c)
+	if c == a || c == b {
+		t.Fatalf("allocBase handed out %d with base %d draining and %d running", c, a, b)
 	}
+	sys.Kill(a + 3)
+	for deadline := time.Now().Add(5 * time.Second); sys.HasThreadsIn(a, a+clusterPhysStride); {
+		if time.Now().After(deadline) {
+			t.Fatal("straggler never reaped")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if d := cl.allocBase(); d != a {
+		t.Fatalf("drained base %d not reused, got %d", a, d)
+	}
+
 	// Near the cap, fresh allocation wraps and skips running jobs' bases.
 	cl.nextBase = clusterPhysMax
 	d := cl.allocBase()
 	if d+clusterPhysStride > clusterPhysMax {
 		t.Fatalf("allocation crossed clusterPhysMax: %d", d)
 	}
-	if d == b || d == c {
+	if d == a || d == b || d == c {
 		t.Fatalf("wrapped allocation reused running job's base %d", d)
+	}
+}
+
+// TestClusterBackToBackJobsNeverFallBack runs cluster jobs one straight
+// after another on a loopback fleet. Each job's base returns to the free
+// list the moment its manager finishes, while its threads are still being
+// reaped; reusing it then made the next job's spawn fail with a duplicate
+// thread id and the job silently degrade to the in-process pool.
+func TestClusterBackToBackJobsNeverFallBack(t *testing.T) {
+	const workers, jobs = 2, 24
+	pool, _ := startClusterPool(t, fastClusterConfig(workers), workers)
+	cube := testCube(t, 78)
+	for i := 0; i < jobs; i++ {
+		// A fresh threshold per job keeps the result cache out of the way.
+		st, err := pool.Submit(cube, core.Options{Threshold: 0.05 + float64(i)*1e-4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := pool.Wait(st.ID); err != nil || got.State != StateDone {
+			t.Fatalf("job %d: %v %+v", i, err, got.Err)
+		}
+	}
+	if cs := pool.Stats().Cluster; cs.Fallbacks != 0 || cs.Jobs != jobs {
+		t.Fatalf("cluster ran %d/%d jobs with %d fallbacks", cs.Jobs, jobs, cs.Fallbacks)
 	}
 }
 

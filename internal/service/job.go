@@ -165,11 +165,17 @@ func (e *jobEnv) Replica() int              { return 0 }
 func (e *jobEnv) Now() float64              { return e.env.Now() }
 
 func (e *jobEnv) Send(to resilient.LogicalID, kind uint16, payload []byte) error {
+	return e.SendFrame(to, kind, resilient.FrameOf(payload))
+}
+
+// SendFrame stamps the job envelope into the frame's headroom and hands
+// those same bytes to the worker's mailbox.
+func (e *jobEnv) SendFrame(to resilient.LogicalID, kind uint16, frame []byte) error {
 	w := int(to)
 	if w < 1 || w > len(e.workers) {
 		return nil // like sends to unknown threads: dropped silently
 	}
-	return e.env.Send(e.workers[w-1], kind, encodeEnvelope(e.jobID, e.threshold, e.parallelism, e.alg, payload))
+	return e.env.Send(e.workers[w-1], kind, putEnvelope(frame, e.jobID, e.threshold, e.parallelism, e.alg))
 }
 
 // mine reports whether a raw message belongs to this job.
@@ -263,7 +269,7 @@ func (e *jobEnv) Logf(format string, args ...any) { e.env.Logf(format, args...) 
 // also covers failed jobs, and duplicate stops are no-ops worker-side.
 func (e *jobEnv) stopWorkers() {
 	for _, id := range e.workers {
-		_ = e.env.Send(id, core.KindStop, encodeEnvelope(e.jobID, 0, 0, 0, nil))
+		_ = e.env.Send(id, core.KindStop, putEnvelope(resilient.NewFrame(0), e.jobID, 0, 0, 0))
 	}
 }
 

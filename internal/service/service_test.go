@@ -186,13 +186,13 @@ func TestAdmissionControl(t *testing.T) {
 	// A scene big enough to keep the single slot busy while we fill the
 	// queue behind it.
 	s, err := hsi.GenerateScene(hsi.SceneSpec{
-		Width: 96, Height: 96, Bands: 24, Seed: 3,
+		Width: 160, Height: 160, Bands: 48, Seed: 3,
 		NoiseSigma: 4, Illumination: 0.1, OpenVehicles: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow, err := pool.Submit(s.Cube, core.Options{Threshold: 0.02})
+	slow, err := pool.Submit(s.Cube, core.Options{Algorithm: "pyramid"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"resilientfusion/internal/core"
 	"resilientfusion/internal/fuse"
 	"resilientfusion/internal/perfmodel"
+	"resilientfusion/internal/resilient"
 	"resilientfusion/internal/scplib"
 	"resilientfusion/internal/telemetry"
 )
@@ -27,14 +28,26 @@ const kindJobErr uint16 = 0x7F00
 // than at spawn time).
 const envelopeBytes = 32
 
-func encodeEnvelope(jobID uint64, threshold float64, parallelism int, alg fuse.ID, inner []byte) []byte {
-	buf := make([]byte, envelopeBytes+len(inner))
+// The envelope is stamped into a frame's headroom; this fails to compile
+// if the resilient layer's reservation ever shrinks below it.
+var _ [resilient.Headroom - envelopeBytes]struct{}
+
+// putEnvelope stamps the envelope into the headroom of frame (a
+// resilient.NewFrame buffer with the inner payload appended) and returns
+// the enveloped message — the frame's own bytes, not a copy.
+func putEnvelope(frame []byte, jobID uint64, threshold float64, parallelism int, alg fuse.ID) []byte {
+	buf := frame[resilient.Headroom-envelopeBytes:]
 	binary.LittleEndian.PutUint64(buf, jobID)
 	binary.LittleEndian.PutUint64(buf[8:], math.Float64bits(threshold))
 	binary.LittleEndian.PutUint64(buf[16:], uint64(int64(parallelism)))
 	binary.LittleEndian.PutUint64(buf[24:], uint64(alg))
-	copy(buf[envelopeBytes:], inner)
 	return buf
+}
+
+// errEnvelope builds a kindJobErr message: the error text under the job's
+// envelope.
+func errEnvelope(jobID uint64, msg string) []byte {
+	return putEnvelope(resilient.FrameOf([]byte(msg)), jobID, 0, 0, 0)
 }
 
 func decodeEnvelope(p []byte) (jobID uint64, threshold float64, parallelism int, alg fuse.ID, inner []byte, err error) {
@@ -113,7 +126,7 @@ func poolWorkerBody(met *poolMetrics) scplib.Body {
 					// (canonicalOptions validates), so this is wire-level
 					// corruption: fail the job, keep the worker.
 					msg := fmt.Sprintf("service: envelope carries unknown algorithm id %d", algID)
-					if serr := env.Send(m.From, kindJobErr, encodeEnvelope(jobID, 0, 0, 0, []byte(msg))); serr != nil {
+					if serr := env.Send(m.From, kindJobErr, errEnvelope(jobID, msg)); serr != nil {
 						return serr
 					}
 					continue
@@ -137,7 +150,7 @@ func poolWorkerBody(met *poolMetrics) scplib.Body {
 			if err != nil {
 				// Fail this job fast without taking the worker (and every
 				// other job multiplexed on it) down.
-				if serr := env.Send(m.From, kindJobErr, encodeEnvelope(jobID, 0, 0, 0, []byte(err.Error()))); serr != nil {
+				if serr := env.Send(m.From, kindJobErr, errEnvelope(jobID, err.Error())); serr != nil {
 					return serr
 				}
 				continue
@@ -150,7 +163,7 @@ func poolWorkerBody(met *poolMetrics) scplib.Body {
 					return err
 				}
 			}
-			if err := env.Send(m.From, replyKind, encodeEnvelope(jobID, 0, 0, 0, reply)); err != nil {
+			if err := env.Send(m.From, replyKind, putEnvelope(reply, jobID, 0, 0, 0)); err != nil {
 				return err
 			}
 		}
