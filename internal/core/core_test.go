@@ -153,63 +153,65 @@ func TestRealRuntimeResilient(t *testing.T) {
 	}
 }
 
-func TestKillOneReplicaMidRun(t *testing.T) {
-	cube := testScene(t)
-	opts := Options{
-		Workers: 2, Granularity: 2, Replication: 2, Regenerate: true,
-		HeartbeatPeriod: 0.25, FailTimeout: 1, RequestTimeout: 30,
-	}
-	seq, err := Sequential(cube, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	job, x, _ := simJob(t, cube, opts)
-	plan := failure.Plan{Events: []failure.Event{failure.KillReplica(0.2, 1, 0)}}
-	if err := plan.Arm(x, job.Runtime(), nil); err != nil {
+// faultAlgorithms lists every algorithm the fault tests run, with the
+// virtual-CPU slowdown that keeps a run going past a kill at 0.2 s and
+// its detection a FailTimeout later (the tile kernels are cheap).
+var faultAlgorithms = []struct {
+	name     string
+	slowdown float64
+}{{"pct", 1}, {"pyramid", 20}, {"dwt", 20}}
+
+// runFaulted runs opts over cube on a simulated cluster slowed by
+// slowdown, with the given failures armed.
+func runFaulted(t *testing.T, cube *hsi.Cube, opts Options, slowdown float64, events ...failure.Event) (*Result, resilient.Stats, error) {
+	t.Helper()
+	job, x, nodes := simJobRate(t, cube, opts, perfmodel.EffectiveWorkstationRate/slowdown)
+	plan := failure.Plan{Events: events}
+	if err := plan.Arm(x, job.Runtime(), nodes); err != nil {
 		t.Fatal(err)
 	}
 	res, err := job.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !imagesEqual(res.Image, seq.Image) {
-		t.Fatal("composite differs after replica kill")
-	}
-	st := job.Runtime().Stats()
-	if st.Detections < 1 {
-		t.Fatalf("kill not detected: %+v", st)
+	return res, job.Runtime().Stats(), err
+}
+
+// faultMatchesSequential runs every algorithm under events and checks
+// the composite against Sequential's.
+func faultMatchesSequential(t *testing.T, opts Options, events ...failure.Event) {
+	cube := testScene(t)
+	for _, alg := range faultAlgorithms {
+		t.Run(alg.name, func(t *testing.T) {
+			opts := opts
+			opts.Algorithm = alg.name
+			seq, err := Sequential(cube, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, st, err := runFaulted(t, cube, opts, alg.slowdown, events...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !imagesEqual(res.Image, seq.Image) {
+				t.Fatal("composite differs after the failure")
+			}
+			if st.Detections < 1 || st.Regenerations < len(events) {
+				t.Fatalf("failure not caught mid-run: %+v", st)
+			}
+		})
 	}
 }
 
+func TestKillOneReplicaMidRun(t *testing.T) {
+	faultMatchesSequential(t, Options{
+		Workers: 2, Granularity: 2, Replication: 2, Regenerate: true,
+		HeartbeatPeriod: 0.25, FailTimeout: 1, RequestTimeout: 30,
+	}, failure.KillReplica(0.2, 1, 0))
+}
+
 func TestWholeGroupLossMidRun(t *testing.T) {
-	cube := testScene(t)
-	opts := Options{
+	faultMatchesSequential(t, Options{
 		Workers: 2, Granularity: 3, Replication: 2, Regenerate: true,
 		HeartbeatPeriod: 0.25, FailTimeout: 1, RequestTimeout: 15, MaxReissues: 10,
-	}
-	seq, err := Sequential(cube, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	job, x, _ := simJob(t, cube, opts)
-	plan := failure.Plan{Events: []failure.Event{
-		failure.KillReplica(0.2, 1, 0),
-		failure.KillReplica(0.2, 1, 1),
-	}}
-	if err := plan.Arm(x, job.Runtime(), nil); err != nil {
-		t.Fatal(err)
-	}
-	res, err := job.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !imagesEqual(res.Image, seq.Image) {
-		t.Fatal("composite differs after whole-group loss")
-	}
-	st := job.Runtime().Stats()
-	if st.Regenerations < 2 {
-		t.Fatalf("regenerations = %d", st.Regenerations)
-	}
+	}, failure.KillReplica(0.2, 1, 0), failure.KillReplica(0.2, 1, 1))
 }
 
 func TestNodeCrashMidRun(t *testing.T) {
@@ -222,13 +224,8 @@ func TestNodeCrashMidRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	job, x, nodes := simJob(t, cube, opts)
 	// Node 2 hosts worker2/r0 and worker1/r1.
-	plan := failure.Plan{Events: []failure.Event{failure.CrashNode(0.3, 2)}}
-	if err := plan.Arm(x, job.Runtime(), nodes); err != nil {
-		t.Fatal(err)
-	}
-	res, err := job.Run()
+	res, _, err := runFaulted(t, cube, opts, 1, failure.CrashNode(0.3, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,14 +240,14 @@ func TestUnreplicatedWorkerLossFailsCleanly(t *testing.T) {
 		Workers: 2, Granularity: 2, Replication: 1,
 		RequestTimeout: 5, MaxReissues: 2,
 	}
-	job, x, _ := simJob(t, cube, opts)
-	plan := failure.Plan{Events: []failure.Event{failure.KillReplica(0.1, 1, 0)}}
-	if err := plan.Arm(x, job.Runtime(), nil); err != nil {
-		t.Fatal(err)
-	}
-	_, err := job.Run()
-	if err == nil {
-		t.Fatal("run with a dead unreplicated worker should fail")
+	for _, alg := range faultAlgorithms {
+		t.Run(alg.name, func(t *testing.T) {
+			opts := opts
+			opts.Algorithm = alg.name
+			if _, _, err := runFaulted(t, cube, opts, alg.slowdown, failure.KillReplica(0.1, 1, 0)); err == nil {
+				t.Fatal("run with a dead unreplicated worker should fail")
+			}
+		})
 	}
 }
 
@@ -401,5 +398,38 @@ func TestFuseProducesContrast(t *testing.T) {
 	}
 	if max-min < 30 {
 		t.Fatalf("composite nearly flat: min=%d max=%d", min, max)
+	}
+}
+
+// TestStaggeredGroupLossSweep kills both replicas of worker 1 gap seconds
+// apart. Seen in one guardian scan or two, the group restarts under a new
+// epoch, so every gap matches Sequential with no more reissues than 0.
+func TestStaggeredGroupLossSweep(t *testing.T) {
+	cube := testScene(t)
+	opts := Options{
+		Workers: 2, Granularity: 3, Replication: 2, Regenerate: true,
+		HeartbeatPeriod: 0.25, FailTimeout: 1, RequestTimeout: 15, MaxReissues: 10,
+	}
+	seq, err := Sequential(cube, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	simultaneous := -1
+	for _, gap := range []float64{0, 0.3, 0.5, 0.7} {
+		res, _, err := runFaulted(t, cube, opts, 1,
+			failure.KillReplica(0.2, 1, 0), failure.KillReplica(0.2+gap, 1, 1))
+		if err != nil {
+			t.Fatalf("gap %.1f: %v", gap, err)
+		}
+		if !imagesEqual(res.Image, seq.Image) {
+			t.Fatalf("gap %.1f: composite differs", gap)
+		}
+		t.Logf("gap %.1f: %d reissues, %.1f virtual s", gap, res.Reissues, res.Times.Total)
+		if simultaneous < 0 {
+			simultaneous = res.Reissues
+		}
+		if res.Reissues > simultaneous {
+			t.Fatalf("gap %.1f: %d reissues, simultaneous loss took %d", gap, res.Reissues, simultaneous)
+		}
 	}
 }

@@ -102,20 +102,9 @@ type manager struct {
 	owner []resilient.LogicalID
 
 	// tr receives stage spans (nil disables; every method is nil-safe).
-	// The t0 slices stamp when each sub-problem was first dispatched so
-	// the span covers send→response, reissues included; -1 means unsent.
-	tr                    *telemetry.TraceRecorder
-	screenT0, covT0, tfT0 []float64
-	fuseT0                []float64
-}
-
-// newT0 returns an n-slot dispatch-stamp slice, all unsent.
-func newT0(n int) []float64 {
-	t := make([]float64, n)
-	for i := range t {
-		t[i] = -1
-	}
-	return t
+	tr *telemetry.TraceRecorder
+	// obs is the source's progress observer, nil when it has none.
+	obs TileObserver
 }
 
 func (m *manager) run() error {
@@ -126,44 +115,79 @@ func (m *manager) run() error {
 	m.owner = make([]resilient.LogicalID, len(m.ranges))
 	m.res.SubCubes = len(m.ranges)
 	m.tr = opts.Trace
-	m.screenT0 = newT0(len(m.ranges))
-	m.covT0 = newT0(opts.Workers)
-	m.tfT0 = newT0(len(m.ranges))
-	m.fuseT0 = newT0(len(m.ranges))
+	m.obs, _ = m.src.(TileObserver)
 
 	// Registry dispatch: tile-kernel algorithms (pyramid, dwt) run one
-	// distribute/collect phase — same dynamic scheduling, prefetch and
-	// reissue machinery as screening, but each reply is a finished RGB
-	// slab. The pct entry has no tile kernel and continues into the
-	// 8-step protocol below.
+	// fuse phase whose replies are finished RGB slabs; the pct entry has
+	// no tile kernel and runs the 8-step protocol.
 	alg, ok := fuse.Lookup(opts.Algorithm)
 	if !ok {
 		return fmt.Errorf("%w: unknown algorithm %q (have %v)",
 			ErrBadOptions, opts.Algorithm, fuse.Names())
 	}
+	img := image.NewRGBA(image.Rect(0, 0, m.width, m.height))
+	var err error
 	if alg.FuseTile != nil {
-		img, err := m.fusePhase()
-		if err != nil {
-			return fmt.Errorf("fuse phase: %w", err)
-		}
-		m.res.Image = img
-		m.res.Times.Transform = m.env.Now() - t0
-		m.res.Times.Total = m.env.Now() - t0
-		for w := 1; w <= opts.Workers; w++ {
-			if err := m.env.Send(resilient.LogicalID(w), KindStop, nil); err != nil {
-				return err
-			}
-		}
-		return nil
+		// Tile requests carry their data, so a reissue after a worker loss
+		// needs no cached state: any live worker can recompute any tile.
+		err = collect(m, m.slabPhase("fuse", img, phase[*FuseResp]{
+			dynamic: true,
+			reqKind: KindFuseReq, respKind: KindFuseResp,
+			request: m.tileRequest,
+			// A tile completes both pipeline positions at once for progress
+			// observers: there is no separate screen step to report.
+			progress: func(obs TileObserver, done, total int) {
+				obs.TileScreened(done, total)
+				obs.TileTransformed(done, total)
+			},
+		}))
+	} else {
+		err = m.pct(t0, img)
 	}
-
-	// Steps 1–2: distributed screening, then sequential merge.
-	uniqueSets, err := m.screenPhase()
 	if err != nil {
-		return fmt.Errorf("screen phase: %w", err)
+		return err
+	}
+	m.res.Image = img
+	m.res.Times.Transform = m.env.Now() - t0
+	m.res.Times.Total = m.env.Now() - t0
+
+	// Graceful worker shutdown.
+	for w := 1; w <= opts.Workers; w++ {
+		if err := m.env.Send(resilient.LogicalID(w), KindStop, nil); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// pct runs the paper's steps 1–8 into img: distributed screening,
+// merge, mean, distributed covariance, eigen, distributed transform.
+func (m *manager) pct(t0 float64, img *image.RGBA) error {
+	opts := m.opts
+
+	// Steps 1–2: distributed screening, then sequential merge. Each worker
+	// starts with 1+Prefetch sub-cubes so it always has the next one queued
+	// while computing the current one ("a worker overlaps the request for
+	// its next sub-problem with the calculation associated with the
+	// current sub-problem").
+	uniq := make([][]linalg.Vector, len(m.ranges))
+	err := collect(m, phase[*ScreenResp]{
+		stage: "screen", items: len(m.ranges), owner: m.owner, dynamic: true,
+		reqKind: KindScreenReq, respKind: KindScreenResp,
+		request: m.tileRequest,
+		decode:  DecodeScreenResp,
+		index:   func(r *ScreenResp) int { return r.Index },
+		store: func(i int, r *ScreenResp) {
+			m.res.ScreenStats.Add(r.Stats)
+			uniq[i] = r.Vectors
+		},
+		progress: TileObserver.TileScreened,
+	})
+	if err != nil {
+		return err
 	}
 	mergeT0 := m.tr.Now()
-	merged, err := m.mergePhase(uniqueSets)
+	merged, err := m.mergePhase(uniq)
 	if err != nil {
 		return fmt.Errorf("merge phase: %w", err)
 	}
@@ -181,10 +205,35 @@ func (m *manager) run() error {
 		return err
 	}
 	m.tr.Stage("mean", -1, meanT0, m.tr.Now())
-	// Steps 4–5: distributed covariance partial sums, combined here.
-	cov, err := m.covariancePhase(merged.Members, mean)
+
+	// Steps 4–5: the unique set is split into P parts, worker p+1 forms
+	// part p's partial sum, and the manager averages them.
+	P := opts.Workers
+	parts := splitVectors(merged.Members, P)
+	partials := make([]*linalg.Matrix, P)
+	owners := make([]resilient.LogicalID, P)
+	for p := range owners {
+		owners[p] = resilient.LogicalID(p + 1)
+	}
+	err = collect(m, phase[*CovResp]{
+		stage: "covariance", items: P, owner: owners,
+		reqKind: KindCovReq, respKind: KindCovResp,
+		request: func(p int, _ bool) ([]byte, error) {
+			return AppendCovReq(resilient.NewFrame(0), &CovReq{Part: p, Mean: mean, Vectors: parts[p]}), nil
+		},
+		decode: DecodeCovResp,
+		index:  func(r *CovResp) int { return r.Part },
+		store:  func(p int, r *CovResp) { partials[p] = r.Sum },
+	})
 	if err != nil {
-		return fmt.Errorf("covariance phase: %w", err)
+		return err
+	}
+	cov, err := pct.Covariance(partials, merged.Len())
+	if err != nil {
+		return err
+	}
+	if err := m.env.Compute(opts.Cost.CovCombineFlops(P, m.bands)); err != nil {
+		return err
 	}
 	m.res.Mean = mean
 	m.res.Times.Statistics = m.env.Now() - t0
@@ -209,224 +258,183 @@ func (m *manager) run() error {
 	m.res.Transform = transform
 	m.res.Times.Eigen = m.env.Now() - t0
 
-	// Steps 7–8: distributed transform + color mapping over cached
-	// sub-cubes, assembled into the composite.
-	img, err := m.transformPhase(mean, transform, stretches)
-	if err != nil {
-		return fmt.Errorf("transform phase: %w", err)
-	}
-	m.res.Image = img
-	m.res.Times.Transform = m.env.Now() - t0
-	m.res.Times.Total = m.env.Now() - t0
+	// Steps 7–8: each sub-cube's screener transforms and color-maps its
+	// cached copy; a worker that lost the cache answers KindCacheMiss.
+	return collect(m, m.slabPhase("transform", img, phase[*TransformResp]{
+		reqKind: KindTransformReq, respKind: KindTransformResp,
+		request: func(i int, withData bool) ([]byte, error) {
+			req := &TransformReq{Range: m.ranges[i], Mean: mean, Transform: transform, Stretches: stretches}
+			if withData {
+				tile, err := m.src.Tile(m.ranges[i])
+				if err != nil {
+					return nil, err
+				}
+				req.Cube = tile
+			}
+			return AppendTransformReq(resilient.NewFrame(0), req)
+		},
+		progress: TileObserver.TileTransformed,
+	}))
+}
 
-	// Graceful worker shutdown.
-	for w := 1; w <= opts.Workers; w++ {
-		if err := m.env.Send(resilient.LogicalID(w), KindStop, nil); err != nil {
+// tileRequest frames sub-cube i with its data, pulled from the source (an
+// in-memory extract or a streamed read). Screen and fuse requests share
+// this layout and always carry the tile.
+func (m *manager) tileRequest(i int, _ bool) ([]byte, error) {
+	ingestT0 := m.tr.Now()
+	tile, err := m.src.Tile(m.ranges[i])
+	if err != nil {
+		return nil, err
+	}
+	m.tr.Stage("ingest", i, ingestT0, m.tr.Now())
+	return AppendScreenReq(resilient.NewFrame(0), &ScreenReq{Range: m.ranges[i], Cube: tile})
+}
+
+// slabPhase completes p as a per-sub-cube phase whose replies are RGB
+// slabs assembled into img.
+func (m *manager) slabPhase(stage string, img *image.RGBA, p phase[*TransformResp]) phase[*TransformResp] {
+	p.stage, p.items, p.owner = stage, len(m.ranges), m.owner
+	p.decode = DecodeTransformResp
+	p.index = func(r *TransformResp) int { return r.Range.Index }
+	p.store = func(_ int, r *TransformResp) { blitRGB(img, r) }
+	return p
+}
+
+// phase describes one distributed step of the protocol to collect.
+type phase[R any] struct {
+	stage string // trace stage name; also labels the phase's errors
+	items int    // sub-cubes or covariance parts
+	// owner[i] is the worker that holds item i. Dynamic placement fills
+	// it as items go out; fixed placement reads it as given.
+	owner   []resilient.LogicalID
+	dynamic bool
+
+	reqKind, respKind uint16
+	// request frames item i; withData asks for the item's data even where
+	// the worker should already hold it (reissues, cache misses).
+	request func(i int, withData bool) ([]byte, error)
+	decode  func(payload []byte) (R, error)
+	index   func(R) int
+	store   func(i int, r R) // called once per item
+	// progress, when set, reports completed items to the source's observer.
+	progress func(obs TileObserver, done, total int)
+}
+
+// collect runs one phase to completion and is the manager's only receive
+// loop. Dynamic placement deals items breadth-first until every worker
+// holds 1+Prefetch, then hands the next item to whichever worker replied.
+// Fixed placement sends every item to its owner at once.
+// Replies are deduplicated by index (replicas and reissues race), a
+// KindCacheMiss resends its item with data, and each RequestTimeout
+// without a reply resends every outstanding item, in ascending index
+// order and with data, at most MaxReissues times.
+func collect[R any](m *manager, p phase[R]) (err error) {
+	defer func() {
+		if err != nil {
+			err = fmt.Errorf("%s phase: %w", p.stage, err)
+		}
+	}()
+	n := p.items
+	// t0[i] stamps item i's first dispatch (-1: unsent), so its span
+	// covers send→reply, reissues included.
+	t0 := make([]float64, n)
+	for i := range t0 {
+		t0[i] = -1
+	}
+	done := make([]bool, n)
+	outstanding := newIntSet(n)
+	send := func(i int, to resilient.LogicalID, withData bool) error {
+		frame, err := p.request(i, withData)
+		if err != nil {
 			return err
 		}
+		p.owner[i] = to
+		if t0[i] < 0 {
+			t0[i] = m.tr.Now()
+		}
+		outstanding.add(i)
+		return m.env.SendFrame(to, p.reqKind, frame)
+	}
+
+	next := 0 // next unsent item
+	if p.dynamic {
+		// Breadth-first, so small decompositions still use every worker.
+		// Canonical Prefetch is -1 when overlap is disabled.
+		for q := 0; q <= max(m.opts.Prefetch, 0) && next < n; q++ {
+			for w := 1; w <= m.opts.Workers && next < n; w++ {
+				if err := send(next, resilient.LogicalID(w), false); err != nil {
+					return err
+				}
+				next++
+			}
+		}
+	} else {
+		for ; next < n; next++ {
+			if err := send(next, p.owner[next], false); err != nil {
+				return err
+			}
+		}
+	}
+
+	reissues := 0
+	for finished := 0; finished < n; {
+		msg, err := m.env.RecvTimeout(m.opts.RequestTimeout)
+		if errors.Is(err, resilient.ErrTimeout) {
+			reissues++
+			m.res.Reissues++
+			if reissues > m.opts.MaxReissues {
+				return fmt.Errorf("stalled after %d reissues (%d/%d done)", reissues, finished, n)
+			}
+			for _, i := range outstanding.keys() {
+				if err := send(i, p.owner[i], true); err != nil {
+					return err
+				}
+			}
+			continue
+		}
+		if err != nil {
+			return err
+		}
+		switch msg.Kind {
+		case KindCacheMiss:
+			i, err := DecodeCacheMiss(msg.Payload)
+			if err != nil {
+				return err
+			}
+			if i >= 0 && i < n && !done[i] {
+				m.res.CacheMisses++
+				if err := send(i, p.owner[i], true); err != nil {
+					return err
+				}
+			}
+		case p.respKind:
+			r, err := p.decode(msg.Payload)
+			if err != nil {
+				return err
+			}
+			i := p.index(r)
+			if i < 0 || i >= n || done[i] {
+				continue // duplicate (a reissue raced the original)
+			}
+			p.store(i, r)
+			m.tr.Stage(p.stage, i, t0[i], m.tr.Now())
+			done[i] = true
+			outstanding.remove(i)
+			finished++
+			if m.obs != nil && p.progress != nil {
+				p.progress(m.obs, finished, n)
+			}
+			// Keep the responding worker busy with the next item.
+			if p.dynamic && next < n {
+				if err := send(next, msg.From, false); err != nil {
+					return err
+				}
+				next++
+			}
+		}
+		// Any other kind is stale traffic from an earlier phase.
 	}
 	return nil
-}
-
-// sendScreen ships sub-cube idx to a worker, pulling the tile from the
-// source (an in-memory extract or a streamed read).
-func (m *manager) sendScreen(idx int, to resilient.LogicalID) error {
-	ingestT0 := m.tr.Now()
-	tile, err := m.src.Tile(m.ranges[idx])
-	if err != nil {
-		return err
-	}
-	m.tr.Stage("ingest", idx, ingestT0, m.tr.Now())
-	frame, err := AppendScreenReq(resilient.NewFrame(0), &ScreenReq{Range: m.ranges[idx], Cube: tile})
-	if err != nil {
-		return err
-	}
-	m.owner[idx] = to
-	if m.screenT0[idx] < 0 {
-		m.screenT0[idx] = m.tr.Now()
-	}
-	return m.env.SendFrame(to, KindScreenReq, frame)
-}
-
-// screenPhase distributes sub-cubes dynamically: each worker starts with
-// 1+Prefetch sub-problems so it always has the next one queued while
-// computing the current one ("a worker overlaps the request for its next
-// sub-problem with the calculation associated with the current
-// sub-problem"). Returns per-sub-cube unique sets, indexed.
-func (m *manager) screenPhase() ([][]linalg.Vector, error) {
-	S := len(m.ranges)
-	uniq := make([][]linalg.Vector, S)
-	next := 0 // next unassigned sub-cube
-	outstanding := newIntSet(S)
-	reissues := 0
-
-	// Initial fill, breadth-first: every worker gets one sub-problem
-	// before anyone gets a prefetched second, so small decompositions
-	// still use all processors. Canonical Prefetch is -1 when overlap is
-	// disabled: each worker then holds exactly one sub-problem.
-	prefetch := m.opts.Prefetch
-	if prefetch < 0 {
-		prefetch = 0
-	}
-	for q := 0; q <= prefetch && next < S; q++ {
-		for w := 1; w <= m.opts.Workers && next < S; w++ {
-			if err := m.sendScreen(next, resilient.LogicalID(w)); err != nil {
-				return nil, err
-			}
-			outstanding.add(next)
-			next++
-		}
-	}
-	done := 0
-	for done < S {
-		msg, err := m.env.RecvTimeout(m.opts.RequestTimeout)
-		if errors.Is(err, resilient.ErrTimeout) {
-			reissues++
-			m.res.Reissues++
-			if reissues > m.opts.MaxReissues {
-				return nil, fmt.Errorf("screening stalled after %d reissues (%d/%d done)", reissues, done, S)
-			}
-			for _, idx := range outstanding.keys() {
-				if err := m.sendScreen(idx, m.owner[idx]); err != nil {
-					return nil, err
-				}
-			}
-			continue
-		}
-		if err != nil {
-			return nil, err
-		}
-		if msg.Kind != KindScreenResp {
-			continue // stale traffic from an earlier phase/reissue
-		}
-		resp, err := DecodeScreenResp(msg.Payload)
-		if err != nil {
-			return nil, err
-		}
-		if resp.Index < 0 || resp.Index >= S || uniq[resp.Index] != nil {
-			continue // duplicate (reissue raced the original)
-		}
-		m.res.ScreenStats.Add(resp.Stats)
-		uniq[resp.Index] = resp.Vectors
-		if len(resp.Vectors) == 0 {
-			uniq[resp.Index] = []linalg.Vector{} // mark done distinctly from nil
-		}
-		m.tr.Stage("screen", resp.Index, m.screenT0[resp.Index], m.tr.Now())
-		outstanding.remove(resp.Index)
-		done++
-		if obs, ok := m.src.(TileObserver); ok {
-			obs.TileScreened(done, S)
-		}
-		// Keep the responding worker busy with the next sub-problem.
-		if next < S {
-			if err := m.sendScreen(next, msg.From); err != nil {
-				return nil, err
-			}
-			outstanding.add(next)
-			next++
-		}
-	}
-	return uniq, nil
-}
-
-// sendFuse ships sub-cube idx to a worker for whole-tile fusion,
-// pulling the tile from the source (an in-memory extract or a streamed
-// read).
-func (m *manager) sendFuse(idx int, to resilient.LogicalID) error {
-	ingestT0 := m.tr.Now()
-	tile, err := m.src.Tile(m.ranges[idx])
-	if err != nil {
-		return err
-	}
-	m.tr.Stage("ingest", idx, ingestT0, m.tr.Now())
-	frame, err := AppendFuseReq(resilient.NewFrame(0), &FuseReq{Range: m.ranges[idx], Cube: tile})
-	if err != nil {
-		return err
-	}
-	m.owner[idx] = to
-	if m.fuseT0[idx] < 0 {
-		m.fuseT0[idx] = m.tr.Now()
-	}
-	return m.env.SendFrame(to, KindFuseReq, frame)
-}
-
-// fusePhase is the whole run for tile-kernel algorithms: sub-cubes are
-// distributed dynamically with the screen phase's breadth-first initial
-// fill and prefetch overlap, each reply carries the tile's finished RGB
-// slab, and the manager assembles the composite. Tile requests carry
-// their data, so a reissue after a worker loss needs no cached state —
-// any live worker can recompute any tile.
-func (m *manager) fusePhase() (*image.RGBA, error) {
-	S := len(m.ranges)
-	img := image.NewRGBA(image.Rect(0, 0, m.width, m.height))
-	doneIdx := make([]bool, S)
-	next := 0 // next unassigned sub-cube
-	outstanding := newIntSet(S)
-	reissues := 0
-
-	prefetch := m.opts.Prefetch
-	if prefetch < 0 {
-		prefetch = 0
-	}
-	for q := 0; q <= prefetch && next < S; q++ {
-		for w := 1; w <= m.opts.Workers && next < S; w++ {
-			if err := m.sendFuse(next, resilient.LogicalID(w)); err != nil {
-				return nil, err
-			}
-			outstanding.add(next)
-			next++
-		}
-	}
-	for done := 0; done < S; {
-		msg, err := m.env.RecvTimeout(m.opts.RequestTimeout)
-		if errors.Is(err, resilient.ErrTimeout) {
-			reissues++
-			m.res.Reissues++
-			if reissues > m.opts.MaxReissues {
-				return nil, fmt.Errorf("fusion stalled after %d reissues (%d/%d done)", reissues, done, S)
-			}
-			for _, idx := range outstanding.keys() {
-				if err := m.sendFuse(idx, m.owner[idx]); err != nil {
-					return nil, err
-				}
-			}
-			continue
-		}
-		if err != nil {
-			return nil, err
-		}
-		if msg.Kind != KindFuseResp {
-			continue // stale traffic from a reissue race
-		}
-		resp, err := DecodeFuseResp(msg.Payload)
-		if err != nil {
-			return nil, err
-		}
-		idx := resp.Range.Index
-		if idx < 0 || idx >= S || doneIdx[idx] {
-			continue // duplicate (reissue raced the original)
-		}
-		blitRGB(img, resp)
-		m.tr.Stage("fuse", idx, m.fuseT0[idx], m.tr.Now())
-		doneIdx[idx] = true
-		outstanding.remove(idx)
-		done++
-		// A tile completes both pipeline positions at once for progress
-		// observers: there is no separate screen step to report.
-		if obs, ok := m.src.(TileObserver); ok {
-			obs.TileScreened(done, S)
-			obs.TileTransformed(done, S)
-		}
-		// Keep the responding worker busy with the next sub-problem.
-		if next < S {
-			if err := m.sendFuse(next, msg.From); err != nil {
-				return nil, err
-			}
-			outstanding.add(next)
-			next++
-		}
-	}
-	return img, nil
 }
 
 // mergePhase is algorithm step 2: the manager combines per-sub-cube
@@ -443,157 +451,6 @@ func (m *manager) mergePhase(uniq [][]linalg.Vector) (*spectral.UniqueSet, error
 	}
 	m.res.ScreenStats.Add(st)
 	return merged, m.env.Compute(m.opts.Cost.ScreenFlops(st, m.bands))
-}
-
-// covariancePhase is algorithm steps 4–5: the unique set is split into P
-// parts, each worker forms a partial sum, and the manager averages them.
-func (m *manager) covariancePhase(members []linalg.Vector, mean linalg.Vector) (*linalg.Matrix, error) {
-	P := m.opts.Workers
-	parts := splitVectors(members, P)
-	partials := make([]*linalg.Matrix, P)
-	outstanding := newIntSet(P)
-	send := func(p int) error {
-		req := &CovReq{Part: p, Mean: mean, Vectors: parts[p]}
-		if m.covT0[p] < 0 {
-			m.covT0[p] = m.tr.Now()
-		}
-		return m.env.SendFrame(resilient.LogicalID(p%P+1), KindCovReq, AppendCovReq(resilient.NewFrame(0), req))
-	}
-	for p := 0; p < P; p++ {
-		if err := send(p); err != nil {
-			return nil, err
-		}
-		outstanding.add(p)
-	}
-	reissues := 0
-	for done := 0; done < P; {
-		msg, err := m.env.RecvTimeout(m.opts.RequestTimeout)
-		if errors.Is(err, resilient.ErrTimeout) {
-			reissues++
-			m.res.Reissues++
-			if reissues > m.opts.MaxReissues {
-				return nil, fmt.Errorf("covariance stalled after %d reissues", reissues)
-			}
-			for _, p := range outstanding.keys() {
-				if err := send(p); err != nil {
-					return nil, err
-				}
-			}
-			continue
-		}
-		if err != nil {
-			return nil, err
-		}
-		if msg.Kind != KindCovResp {
-			continue
-		}
-		resp, err := DecodeCovResp(msg.Payload)
-		if err != nil {
-			return nil, err
-		}
-		if resp.Part < 0 || resp.Part >= P || partials[resp.Part] != nil {
-			continue
-		}
-		partials[resp.Part] = resp.Sum
-		m.tr.Stage("covariance", resp.Part, m.covT0[resp.Part], m.tr.Now())
-		outstanding.remove(resp.Part)
-		done++
-	}
-	cov, err := pct.Covariance(partials, len(members))
-	if err != nil {
-		return nil, err
-	}
-	return cov, m.env.Compute(m.opts.Cost.CovCombineFlops(P, m.bands))
-}
-
-// transformPhase is algorithm steps 7–8: workers transform and color-map
-// their cached sub-cubes; the manager assembles the composite image.
-func (m *manager) transformPhase(mean linalg.Vector, transform *linalg.Matrix, stretches []colormap.Stretch) (*image.RGBA, error) {
-	S := len(m.ranges)
-	img := image.NewRGBA(image.Rect(0, 0, m.width, m.height))
-	doneIdx := make([]bool, S)
-	outstanding := newIntSet(S)
-
-	send := func(idx int, withData bool) error {
-		req := &TransformReq{
-			Range:     m.ranges[idx],
-			Mean:      mean,
-			Transform: transform,
-			Stretches: stretches,
-		}
-		if withData {
-			tile, err := m.src.Tile(m.ranges[idx])
-			if err != nil {
-				return err
-			}
-			req.Cube = tile
-		}
-		frame, err := AppendTransformReq(resilient.NewFrame(0), req)
-		if err != nil {
-			return err
-		}
-		if m.tfT0[idx] < 0 {
-			m.tfT0[idx] = m.tr.Now()
-		}
-		return m.env.SendFrame(m.owner[idx], KindTransformReq, frame)
-	}
-	for idx := range m.ranges {
-		if err := send(idx, false); err != nil {
-			return nil, err
-		}
-		outstanding.add(idx)
-	}
-	reissues := 0
-	for done := 0; done < S; {
-		msg, err := m.env.RecvTimeout(m.opts.RequestTimeout)
-		if errors.Is(err, resilient.ErrTimeout) {
-			reissues++
-			m.res.Reissues++
-			if reissues > m.opts.MaxReissues {
-				return nil, fmt.Errorf("transform stalled after %d reissues (%d/%d done)", reissues, done, S)
-			}
-			for _, idx := range outstanding.keys() {
-				if err := send(idx, true); err != nil {
-					return nil, err
-				}
-			}
-			continue
-		}
-		if err != nil {
-			return nil, err
-		}
-		switch msg.Kind {
-		case KindCacheMiss:
-			idx, err := DecodeCacheMiss(msg.Payload)
-			if err != nil {
-				return nil, err
-			}
-			if idx >= 0 && idx < S && !doneIdx[idx] {
-				m.res.CacheMisses++
-				if err := send(idx, true); err != nil {
-					return nil, err
-				}
-			}
-		case KindTransformResp:
-			resp, err := DecodeTransformResp(msg.Payload)
-			if err != nil {
-				return nil, err
-			}
-			idx := resp.Range.Index
-			if idx < 0 || idx >= S || doneIdx[idx] {
-				continue
-			}
-			blitRGB(img, resp)
-			m.tr.Stage("transform", idx, m.tfT0[idx], m.tr.Now())
-			doneIdx[idx] = true
-			outstanding.remove(idx)
-			done++
-			if obs, ok := m.src.(TileObserver); ok {
-				obs.TileTransformed(done, S)
-			}
-		}
-	}
-	return img, nil
 }
 
 // blitRGB widens a worker's RGB slab into the composite's RGBA rows.

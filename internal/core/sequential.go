@@ -28,17 +28,11 @@ func Sequential(cube *hsi.Cube, opts Options) (*Result, error) {
 		return nil, fmt.Errorf("%w: unknown algorithm %q (have %v)",
 			ErrBadOptions, opts.Algorithm, fuse.Names())
 	}
+	ranges := opts.TileRanges(cube.Height)
 	if alg.FuseTile != nil {
-		return sequentialFuse(cube, opts, alg)
+		return sequentialFuse(cube, opts, alg.FuseTile, ranges)
 	}
-	res := &Result{}
-
-	subCubes := opts.Granularity * opts.Workers
-	if subCubes > cube.Height {
-		subCubes = cube.Height
-	}
-	ranges := hsi.Partition(cube.Height, subCubes)
-	res.SubCubes = subCubes
+	res := &Result{SubCubes: len(ranges)}
 
 	// Steps 1–2. The batched engine is bit-identical to the sequential
 	// spectral.Screen reference, so the oracle's contract is unchanged.
@@ -120,12 +114,9 @@ func Sequential(cube *hsi.Cube, opts Options) (*Result, error) {
 }
 
 // sequentialFuse is the one-thread oracle for tile-kernel algorithms:
-// the manager's exact row decomposition, each tile fused by the
-// registered kernel, slabs assembled exactly like fusePhase does.
-func sequentialFuse(cube *hsi.Cube, opts Options, alg fuse.Algorithm) (*Result, error) {
-	res := &Result{}
-	ranges := opts.TileRanges(cube.Height)
-	res.SubCubes = len(ranges)
+// the manager's row decomposition, each tile fused by the registered
+// kernel, slabs assembled exactly like the manager's fuse phase does.
+func sequentialFuse(cube *hsi.Cube, opts Options, fuseTile fuse.FuseTileFunc, ranges []hsi.RowRange) (*Result, error) {
 	img := image.NewRGBA(image.Rect(0, 0, cube.Width, cube.Height))
 	for _, rr := range ranges {
 		sub, err := hsi.Extract(cube, rr)
@@ -133,12 +124,10 @@ func sequentialFuse(cube *hsi.Cube, opts Options, alg fuse.Algorithm) (*Result, 
 			return nil, err
 		}
 		rgb := make([]byte, sub.Cube.Pixels()*3)
-		if err := alg.FuseTile(sub.Cube, opts.Parallelism, rgb); err != nil {
+		if err := fuseTile(sub.Cube, opts.Parallelism, rgb); err != nil {
 			return nil, err
 		}
 		blitRGB(img, &FuseResp{Range: rr, Width: cube.Width, RGB: rgb})
 	}
-	res.Image = img
-	res.completed = true
-	return res, nil
+	return &Result{Image: img, SubCubes: len(ranges), completed: true}, nil
 }

@@ -606,14 +606,5 @@ type FuseResp = TransformResp
 // AppendFuseReq appends a serialized tile-fusion request to dst.
 func AppendFuseReq(dst []byte, req *FuseReq) ([]byte, error) { return AppendScreenReq(dst, req) }
 
-// EncodeFuseReq serializes a tile-fusion request.
-func EncodeFuseReq(req *FuseReq) ([]byte, error) { return EncodeScreenReq(req) }
-
 // DecodeFuseReq parses a tile-fusion request.
 func DecodeFuseReq(p []byte) (*FuseReq, error) { return DecodeScreenReq(p) }
-
-// EncodeFuseResp serializes a tile-fusion response.
-func EncodeFuseResp(resp *FuseResp) []byte { return EncodeTransformResp(resp) }
-
-// DecodeFuseResp parses a tile-fusion response.
-func DecodeFuseResp(p []byte) (*FuseResp, error) { return DecodeTransformResp(p) }

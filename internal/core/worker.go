@@ -20,7 +20,8 @@ import (
 // worker thread owns exactly one; the service pool's multiplexing workers
 // keep one per in-flight job.
 type WorkerState struct {
-	algorithm   string // canonical registry name ("" behaves as "pct")
+	algorithm   string            // canonical registry name ("" behaves as "pct")
+	tile        fuse.FuseTileFunc // the algorithm's tile kernel; nil for pct
 	threshold   float64
 	parallelism int // kernel parallelism (0 = GOMAXPROCS)
 	cost        perfmodel.Model
@@ -59,8 +60,10 @@ func (s *Scratch) covFor(n int) *linalg.Matrix {
 // tile-fusion steps (0 selects GOMAXPROCS); it never changes the
 // computed bits, only the wall clock.
 func NewWorkerState(algorithm string, threshold float64, parallelism int, cost perfmodel.Model) *WorkerState {
+	alg, _ := fuse.Lookup(algorithm)
 	return &WorkerState{
 		algorithm:   fuse.Canonical(algorithm),
+		tile:        alg.FuseTile,
 		threshold:   threshold,
 		parallelism: parallelism,
 		cost:        cost,
@@ -160,8 +163,7 @@ func (ws *WorkerState) Handle(kind uint16, payload []byte) (replyKind uint16, re
 		if err != nil {
 			return 0, nil, 0, err
 		}
-		alg, ok := fuse.Lookup(ws.algorithm)
-		if !ok || alg.FuseTile == nil {
+		if ws.tile == nil {
 			return 0, nil, 0, fmt.Errorf("core: no tile kernel registered for algorithm %q", ws.algorithm)
 		}
 		// The whole per-tile fusion in one step: decompose, select, merge
@@ -170,7 +172,7 @@ func (ws *WorkerState) Handle(kind uint16, payload []byte) (replyKind uint16, re
 		// pure, so the reply is byte-identical and the manager dedupes.
 		pixels := req.Cube.Pixels()
 		reply, rgb := newSlabFrame(req.Range, req.Cube.Width, pixels)
-		if err := alg.FuseTile(req.Cube, ws.parallelism, rgb); err != nil {
+		if err := ws.tile(req.Cube, ws.parallelism, rgb); err != nil {
 			return 0, nil, 0, err
 		}
 		// Charge the transform-shaped model cost: one pass over the tile's

@@ -1,16 +1,17 @@
 // Package fuse is the fusion-algorithm registry: the single place the
 // engine resolves core.Options.Algorithm ("pct", "pyramid", "dwt") to an
-// implementation. Two execution shapes coexist behind one entry type:
+// implementation. Two execution shapes coexist behind one entry type,
+// and the core manager runs both through its one distribute/collect
+// loop:
 //
-//   - Protocol algorithms (pct) run the multi-phase manager/worker
-//     conversation — screen, merge, statistics, eigen, transform — and
-//     register without a tile kernel; the manager keeps driving the
-//     phases exactly as before this registry existed.
+//   - Protocol algorithms (pct) register without a tile kernel. The
+//     manager runs three collect phases — screen, covariance, transform
+//     — with its own merge, mean and eigen steps between them.
 //   - Tile-kernel algorithms (pyramid, dwt) are pure per-tile functions:
 //     one request ships a sub-cube, one reply returns its fused RGB
-//     slab. The manager runs them through a single distribute/collect
-//     phase with the same prefetch, reissue, and streaming behavior as
-//     the screen phase.
+//     slab. The manager runs them as a single fuse phase with the same
+//     placement, prefetch, reissue and streaming behavior as screening,
+//     and each worker resolves the kernel once per job.
 //
 // Every registered kernel obeys the repo's determinism contract: output
 // is bit-identical at every core.Options.Parallelism because all

@@ -20,17 +20,14 @@ func fastRealConfig(nodes int) Config {
 	}
 }
 
-// TestEpochBumpOverTCPDedupe is the satellite-4 scenario: a whole group
-// dies and is regenerated over real sockets. The restart bumps the
-// group's epoch, and the manager's dedupe state — which saw the old
-// incarnation's sequence numbers — must accept the fresh incarnation's
-// traffic (epoch reset) instead of filtering it as duplicate, no matter
-// how frames interleave across the reconnecting senders' connections.
-func TestEpochBumpOverTCPDedupe(t *testing.T) {
-	sys, err := scplib.NewTCPSystem("")
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestEpochBumpDedupeRealRuntime kills a whole group on goroutines and
+// wall-clock time and lets it regenerate. The restart bumps the group's
+// epoch, and the manager's dedupe state — which saw the old incarnation's
+// sequence numbers — must accept the fresh incarnation's traffic (epoch
+// reset) instead of filtering it as duplicate. The two kills land in one
+// guardian scan or in two, as the scheduler decides; both must bump.
+func TestEpochBumpDedupeRealRuntime(t *testing.T) {
+	sys := scplib.NewRealSystem()
 	rt, err := New(sys, fastRealConfig(4))
 	if err != nil {
 		t.Fatal(err)

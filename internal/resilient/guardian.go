@@ -3,6 +3,7 @@ package resilient
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"resilientfusion/internal/scplib"
 )
@@ -65,6 +66,7 @@ func (rt *Runtime) guardianBody(env scplib.Env) error {
 				if derr != nil {
 					continue
 				}
+				rt.markRestored(corr)
 				_ = env.Send(corr, kindSnapResp, encodeSnapResp(corr, snap))
 			}
 		case errors.Is(err, scplib.ErrTimeout):
@@ -107,12 +109,7 @@ func (rt *Runtime) guardianBody(env scplib.Env) error {
 			}
 		}
 		rt.mu.Unlock()
-		type failure struct {
-			g    *group
-			slot int
-			seen float64
-		}
-		var failures []failure
+		var failures []lostMember
 		for _, g := range groups {
 			if !g.monitored {
 				continue
@@ -130,7 +127,7 @@ func (rt *Runtime) guardianBody(env scplib.Env) error {
 				if !forced && now-seen <= rt.cfg.FailTimeout {
 					continue
 				}
-				failures = append(failures, failure{g, slot, seen})
+				failures = append(failures, lostMember{g, slot, seen})
 				rt.mu.Lock()
 				mem.alive = false
 				rt.stats.Detections++
@@ -152,12 +149,64 @@ func (rt *Runtime) guardianBody(env scplib.Env) error {
 			}
 			rt.mu.Unlock()
 			if regenerate {
+				failures = append(failures, rt.orphans(env, failures, now)...)
 				for _, f := range failures {
 					rt.regenerate(env, f.g, f.slot, f.seen)
 					lastSeen[key{f.g.lid, f.slot}] = now // fresh grace
 				}
 			}
 			rt.broadcastView(env)
+		}
+	}
+}
+
+// lostMember is one replica the guardian has declared failed this scan;
+// seen is its last sign of life.
+type lostMember struct {
+	g    *group
+	slot int
+	seen float64
+}
+
+// orphans fails the restoring replicas of each group in failures that
+// has no member left holding state. The snapshot they wait for can never
+// come, so they restart with the group under a new epoch rather than
+// start fresh under the old one, whose sequence numbers receivers have
+// already passed — a group lost across several scans is still lost whole.
+func (rt *Runtime) orphans(env scplib.Env, failures []lostMember, now float64) []lostMember {
+	var out []lostMember
+	var phys []scplib.ThreadID
+	rt.mu.Lock()
+	for _, f := range failures {
+		if slices.ContainsFunc(f.g.members, (*member).holdsState) {
+			continue
+		}
+		for slot, mem := range f.g.members {
+			if mem.alive {
+				mem.alive = false
+				out = append(out, lostMember{f.g, slot, now})
+				phys = append(phys, mem.phys)
+			}
+		}
+	}
+	rt.mu.Unlock()
+	for i, o := range out {
+		rt.sys.Kill(phys[i])
+		env.Logf("guardian: %s replica %d lost its state source — restarting it", o.g.name, o.slot)
+	}
+	return out
+}
+
+// markRestored records that the guardian relayed a state snapshot to the
+// regenerated replica phys.
+func (rt *Runtime) markRestored(phys scplib.ThreadID) {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	for _, g := range rt.groups {
+		for _, m := range g.members {
+			if m.phys == phys {
+				m.restoring = false
+			}
 		}
 	}
 }
@@ -184,9 +233,9 @@ func (rt *Runtime) regenerate(env scplib.Env, g *group, slot int, failedAt float
 	for _, m := range g.members {
 		if m.alive {
 			exclude[m.node] = true
-			if survivor == nil {
-				survivor = m
-			}
+		}
+		if survivor == nil && m.holdsState() {
+			survivor = m
 		}
 	}
 	if survivor == nil {
@@ -209,7 +258,7 @@ func (rt *Runtime) regenerate(env scplib.Env, g *group, slot int, failedAt float
 	for _, node := range candidates {
 		rt.mu.Lock()
 		phys := rt.allocPhysLocked()
-		newMem := &member{phys: phys, node: node, alive: true}
+		newMem := &member{phys: phys, node: node, alive: true, restoring: survivor != nil}
 		rt.mu.Unlock()
 
 		// The new replica must be in the view it starts from.

@@ -52,13 +52,13 @@ func (rt *Runtime) MigrateReplica(lid LogicalID, slot int, toNode int) error {
 	// newcomer's protocol state.
 	var survivor *member
 	for i, m := range g.members {
-		if i != slot && m.alive {
+		if i != slot && m.holdsState() {
 			survivor = m
 			break
 		}
 	}
 	phys := rt.allocPhysLocked()
-	newMem := &member{phys: phys, node: toNode, alive: true}
+	newMem := &member{phys: phys, node: toNode, alive: true, restoring: survivor != nil}
 	view := rt.currentViewLocked()
 	rt.mu.Unlock()
 

@@ -80,7 +80,14 @@ type member struct {
 	phys  scplib.ThreadID
 	node  int
 	alive bool
+	// restoring marks a regenerated replica whose state snapshot the
+	// guardian has not yet relayed: it holds no state, so it cannot seed a
+	// peer or stand for the group as a survivor.
+	restoring bool
 }
+
+// holdsState reports whether m is alive with the group's protocol state.
+func (m *member) holdsState() bool { return m.alive && !m.restoring }
 
 // New creates a resiliency runtime over a system.
 func New(sys scplib.System, cfg Config) (*Runtime, error) {

@@ -305,32 +305,34 @@ func TestGracefulExitNoRegeneration(t *testing.T) {
 	}
 }
 
-func TestWholeGroupLossWithRegeneration(t *testing.T) {
-	// Killing every replica between rounds: regeneration restores the
-	// group; requests sent afterwards must be served. (In-flight requests
-	// at loss time are the application's to retry; here the kill happens
-	// while idle.)
-	cfg := DefaultConfig(6)
-	h := newHarness(t, 6, cfg)
+// groupLossRun runs one request, kills both replicas of the worker group
+// while it idles (replica 1 gap seconds after replica 0), then checks that
+// a request sent after the regeneration is answered. In-flight requests at
+// loss time are the application's to retry; here the kill happens while
+// idle.
+func groupLossRun(t *testing.T, gap float64) {
+	t.Helper()
+	h := newHarness(t, 6, DefaultConfig(6))
+	isResp := func(m *RMessage) bool { return m.Kind == kindResp }
 	var completed bool
 	if err := h.rt.AddSingleton(mgrLID, "manager", 0, func(env REnv) error {
 		defer h.rt.Shutdown()
-		// Round 1.
 		if err := env.Send(1, kindReq, make([]byte, 4)); err != nil {
 			return err
 		}
-		if _, err := env.RecvMatchTimeout(func(m *RMessage) bool { return m.Kind == kindResp }, 50); err != nil {
+		if _, err := env.RecvMatchTimeout(isResp, 50); err != nil {
 			return fmt.Errorf("round 1: %w", err)
 		}
 		// Wait out the massacre and the regeneration (failure at t≈8).
 		if _, err := env.RecvTimeout(10); !errors.Is(err, ErrTimeout) {
 			return fmt.Errorf("linger: %v", err)
 		}
-		// Round 2 against regenerated group.
+		// Round 2 against the regenerated group. Its fresh sequence numbers
+		// are at or below round 1's, so only an epoch bump lets it through.
 		if err := env.Send(1, kindReq, make([]byte, 4)); err != nil {
 			return err
 		}
-		if _, err := env.RecvMatchTimeout(func(m *RMessage) bool { return m.Kind == kindResp }, 50); err != nil {
+		if _, err := env.RecvMatchTimeout(isResp, 50); err != nil {
 			return fmt.Errorf("round 2: %w", err)
 		}
 		if err := env.Send(1, kindStop, nil); err != nil {
@@ -347,20 +349,34 @@ func TestWholeGroupLossWithRegeneration(t *testing.T) {
 	if err := h.rt.Start(); err != nil {
 		t.Fatal(err)
 	}
-	h.x.Schedule(8, func() {
-		h.rt.KillReplica(1, 0)
-		h.rt.KillReplica(1, 1)
-	})
+	h.x.Schedule(8, func() { h.rt.KillReplica(1, 0) })
+	h.x.Schedule(8+gap, func() { h.rt.KillReplica(1, 1) })
 	if err := h.rt.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if !completed {
 		t.Fatal("group did not recover from total loss")
 	}
-	st := h.rt.Stats()
-	if st.Regenerations < 2 {
+	if st := h.rt.Stats(); st.Regenerations < 2 {
 		t.Fatalf("regenerations = %d", st.Regenerations)
 	}
+	// Both replicas serve again: none is left waiting for a snapshot.
+	for slot, m := range h.rt.byLID[1].members {
+		if !m.holdsState() {
+			t.Fatalf("replica %d holds no state after recovery", slot)
+		}
+	}
+}
+
+func TestWholeGroupLossWithRegeneration(t *testing.T) { groupLossRun(t, 0) }
+
+// TestStaggeredGroupLossBumpsEpoch loses the group across two guardian
+// scans: replica 0 is regenerated while replica 1 is dead but not yet
+// expired, so the newcomer waits for a snapshot nobody will send. When
+// replica 1 expires, that newcomer holds no state and must not count as a
+// survivor: the group restarts under a new epoch.
+func TestStaggeredGroupLossBumpsEpoch(t *testing.T) {
+	groupLossRun(t, DefaultConfig(6).FailTimeout/2)
 }
 
 func TestDeterministicVirtualTime(t *testing.T) {

@@ -29,8 +29,8 @@ import (
 // connection speed even while surviving replicas are deep in a kernel.
 //
 // Cluster frame layout (little-endian): length uint32 of the remainder,
-// ftype uint8, then a type-specific body. cfMsg bodies reuse the
-// TCPSystem message layout (from, to, kind, seq, payload).
+// ftype uint8, then a type-specific body. A cfMsg body is the message
+// header (from int32, to int32, kind uint16, seq uint64) and its payload.
 type ClusterSystem struct {
 	*RealSystem
 
@@ -492,7 +492,46 @@ func (p *clusterPeer) writeFrame(ftype uint8, body ...[]byte) error {
 
 var _ System = (*ClusterSystem)(nil)
 
+// dialRetry dials addr, retrying transient failures with capped
+// exponential backoff until the window elapses. The first attempt is
+// always made; the last error is returned once the window is spent.
+func dialRetry(addr string, window time.Duration) (net.Conn, error) {
+	deadline := time.Now().Add(window)
+	delay := 25 * time.Millisecond
+	const maxDelay = time.Second
+	for {
+		c, err := net.Dial("tcp", addr)
+		if err == nil {
+			return c, nil
+		}
+		if remain := time.Until(deadline); remain <= 0 {
+			return nil, fmt.Errorf("scplib: dial %s: %w", addr, err)
+		} else if delay > remain {
+			delay = remain
+		}
+		time.Sleep(delay)
+		if delay *= 2; delay > maxDelay {
+			delay = maxDelay
+		}
+	}
+}
+
 // --- cluster frame codecs ---
+
+// frameHeaderBytes is the fixed cfMsg body prefix: from, to, kind, seq.
+const frameHeaderBytes = 4 + 4 + 2 + 8
+
+// maxFramePayload guards against corrupt length words.
+const maxFramePayload = 1 << 30
+
+// putMsgHeader fills the fixed cfMsg body prefix (from, to, kind, seq).
+func putMsgHeader(hdr []byte, m *Message) {
+	_ = hdr[:frameHeaderBytes]
+	binary.LittleEndian.PutUint32(hdr[0:], uint32(m.From))
+	binary.LittleEndian.PutUint32(hdr[4:], uint32(m.To))
+	binary.LittleEndian.PutUint16(hdr[8:], m.Kind)
+	binary.LittleEndian.PutUint64(hdr[10:], m.Seq)
+}
 
 // writeClusterFrame emits length (type byte + body), type, body. The body
 // may come in parts (a message's header and its payload), written one
@@ -516,8 +555,8 @@ func writeClusterFrame(w io.Writer, ftype uint8, body ...[]byte) error {
 	return nil
 }
 
-// readClusterFrame decodes one frame, enforcing the same corrupt-length
-// guard as the TCPSystem's readFrame.
+// readClusterFrame decodes one frame; a corrupt length word fails before
+// anything is allocated for the body.
 func readClusterFrame(r io.Reader) (uint8, []byte, error) {
 	var lenBuf [4]byte
 	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
@@ -534,8 +573,8 @@ func readClusterFrame(r io.Reader) (uint8, []byte, error) {
 	return body[0], body[1:], nil
 }
 
-// decodeMsgBody parses a cfMsg body, laid out exactly like the TCPSystem
-// frame body. The payload is a view into b, the frame's own buffer.
+// decodeMsgBody parses a cfMsg body. The payload is a view into b, the
+// frame's own buffer.
 func decodeMsgBody(b []byte) (*Message, error) {
 	if len(b) < frameHeaderBytes {
 		return nil, fmt.Errorf("scplib: short cluster message body (%d bytes)", len(b))

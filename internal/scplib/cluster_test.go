@@ -1,10 +1,13 @@
 package scplib
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
+	"net"
 	"sync"
 	"testing"
+	"testing/quick"
 	"time"
 )
 
@@ -374,5 +377,120 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool, msg string) {
 			t.Fatal(msg)
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// writeMsgFrame frames m as a cfMsg, the way route and the worker pump do.
+func writeMsgFrame(w *bytes.Buffer, m *Message) error {
+	var hdr [frameHeaderBytes]byte
+	putMsgHeader(hdr[:], m)
+	return writeClusterFrame(w, cfMsg, hdr[:], m.Payload)
+}
+
+func TestFrameRoundTrip(t *testing.T) {
+	f := func(from, to int32, kind uint16, seq uint64, payload []byte) bool {
+		m := &Message{From: ThreadID(from), To: ThreadID(to), Kind: kind, Seq: seq, Payload: payload}
+		var buf bytes.Buffer
+		if err := writeMsgFrame(&buf, m); err != nil {
+			return false
+		}
+		ft, body, err := readClusterFrame(&buf)
+		if err != nil || ft != cfMsg {
+			return false
+		}
+		got, err := decodeMsgBody(body)
+		if err != nil {
+			return false
+		}
+		return got.From == m.From && got.To == m.To && got.Kind == m.Kind &&
+			got.Seq == m.Seq && bytes.Equal(got.Payload, m.Payload)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestFrameRejectsGarbage(t *testing.T) {
+	// Length word below the type byte.
+	if _, _, err := readClusterFrame(bytes.NewReader([]byte{0, 0, 0, 0, 1, 2, 3})); err == nil {
+		t.Fatal("empty frame accepted")
+	}
+	// Message body shorter than its header.
+	if _, err := decodeMsgBody([]byte{1, 2, 3}); err == nil {
+		t.Fatal("undersized message accepted")
+	}
+	// Truncated body.
+	var buf bytes.Buffer
+	if err := writeMsgFrame(&buf, &Message{From: 1, To: 2, Payload: []byte("xyz")}); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := readClusterFrame(bytes.NewReader(buf.Bytes()[:buf.Len()-2])); err == nil {
+		t.Fatal("truncated frame accepted")
+	}
+	// Empty reader.
+	if _, _, err := readClusterFrame(bytes.NewReader(nil)); err == nil {
+		t.Fatal("EOF not reported")
+	}
+}
+
+func TestFrameRejectsOversizedLength(t *testing.T) {
+	// Length word above maxFramePayload: must fail before allocating.
+	var hdr [4]byte
+	binary.LittleEndian.PutUint32(hdr[:], maxFramePayload+1)
+	if _, _, err := readClusterFrame(bytes.NewReader(hdr[:])); err == nil {
+		t.Fatal("oversized frame length accepted")
+	}
+	// Exactly at the cap the guard admits the length (the body read then
+	// fails on truncation, not on the guard).
+	binary.LittleEndian.PutUint32(hdr[:], maxFramePayload)
+	if _, _, err := readClusterFrame(bytes.NewReader(hdr[:])); err == nil {
+		t.Fatal("truncated maximal frame accepted")
+	}
+}
+
+func TestDialRetryRecoversWithinWindow(t *testing.T) {
+	// Reserve a port, release it, and only start listening after a delay:
+	// dialRetry must keep retrying past the initial refusals.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+
+	go func() {
+		time.Sleep(150 * time.Millisecond)
+		ln2, err := net.Listen("tcp", addr)
+		if err != nil {
+			return // port raced away; the dial side will fail the test
+		}
+		defer ln2.Close()
+		c, err := ln2.Accept()
+		if err == nil {
+			c.Close()
+		}
+	}()
+
+	c, err := dialRetry(addr, 5*time.Second)
+	if err != nil {
+		t.Fatalf("dialRetry gave up: %v", err)
+	}
+	c.Close()
+}
+
+func TestDialRetryFailsAfterWindow(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close() // nothing will ever listen here again (probably)
+
+	start := time.Now()
+	if _, err := dialRetry(addr, 200*time.Millisecond); err == nil {
+		t.Fatal("dialRetry succeeded against a dead address")
+	}
+	if elapsed := time.Since(start); elapsed > 3*time.Second {
+		t.Fatalf("dialRetry overshot its window: %v", elapsed)
 	}
 }

@@ -28,7 +28,7 @@ type RealSystem struct {
 	// MailboxDepth is the per-thread channel buffer (default 4096).
 	MailboxDepth int
 	// sendVia, when set, replaces direct channel delivery with an
-	// external transport (the TCP system); the transport re-enters via
+	// external transport (the cluster router); the transport re-enters via
 	// deliverLocal.
 	sendVia func(*Message) error
 	// onReap, when set, observes every thread leaving the table after its
