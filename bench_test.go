@@ -317,8 +317,7 @@ func paperSubVectors(b *testing.B) []linalg.Vector {
 // BenchmarkScreenBatched measures the deterministic parallel screening
 // engine on the paper-geometry sub-cube: seq is the sequential Screen
 // reference on the same input, par=N the batched engine at that
-// parallelism (output bit-identical across all cases). Recorded with
-// BenchmarkScreen to BENCH_screen.json via cmd/benchkernels -screen.
+// parallelism (output bit-identical across all cases).
 func BenchmarkScreenBatched(b *testing.B) {
 	vectors := paperSubVectors(b)
 	threshold := experiments.PaperScale().Threshold
@@ -393,9 +392,9 @@ func BenchmarkTransformCube(b *testing.B) {
 // call (metrics=on) — one time.Now, one histogram observation, one
 // trace span. The kernels themselves are untouched by telemetry (spans
 // sit outside inner loops), so the pair bounds the whole-path cost.
-// Recorded to BENCH_telemetry.json via cmd/benchkernels -telemetry,
-// which also computes the on/off overhead percentage; the budget is
-// < 2%.
+// The budget is < 2 % on/off overhead; compare the pairs over
+// repeated runs with go test -run '^$' -bench TelemetryOverhead
+// -count 10 .
 func BenchmarkTelemetryOverhead(b *testing.B) {
 	vectors := paperSubVectors(b)
 	threshold := experiments.PaperScale().Threshold
@@ -490,8 +489,7 @@ func (w *countWriter) Write(p []byte) (int, error) {
 // same scene through the sequential oracle — the PCT protocol pipeline
 // against the pyramid and DWT tile kernels, at serial and parallel
 // kernel settings (the output is parallelism-invariant; only the wall
-// clock moves). Recorded to BENCH_algorithms.json via cmd/benchkernels
-// -algorithms.
+// clock moves).
 func BenchmarkAlgorithms(b *testing.B) {
 	c := cube(b)
 	for _, alg := range []string{"pct", "pyramid", "dwt"} {

@@ -5,28 +5,30 @@
 //
 //	go run ./cmd/fusiond -addr :8080 -workers 8 -concurrency 4
 //
-//	POST /v1/jobs        HSIC cube body; options via query params
-//	                     (granularity, prefetch, threshold, components)
-//	GET  /v1/jobs/{id}   status and result (?image=1 adds base64 PNG)
-//	GET  /v1/stats       queue depth, cache hit rate, throughput
-//	GET  /metrics        Prometheus text exposition (also on -ops-addr)
+//	POST   /v2/jobs             multipart: optional "options" (JSON)
+//	                            then "cube" (HSIC bytes)
+//	GET    /v2/jobs[/{id}]      job listing / job; ?wait=30s long-polls
+//	DELETE /v2/jobs/{id}        cancel a queued job
+//	GET    /v2/jobs/{id}/result composite as image/png (by Accept) or
+//	                            the JSON result summary
+//	GET    /v2/jobs/{id}/trace  stage-span timeline
+//	GET    /v2/stats            queue depth, cache hit rate, throughput
+//	GET    /metrics             Prometheus text exposition (also on
+//	                            -ops-addr)
 //
 // Whole-scene streaming fusion (ENVI BIL/BSQ/BIP rasters, spooled to
 // disk and fused tile-by-tile — see internal/scene):
 //
-//	POST   /v1/scenes               multipart upload: "header" (.hdr
-//	                                text) then "data" (raw payload)
-//	GET    /v1/scenes[/{id}]        registry listing / scene info
-//	POST   /v1/scenes/{id}/fuse     fuse with per-tile progress
-//	GET    /v1/scenes/{id}/result   latest composite as image/png
-//	DELETE /v1/scenes/{id}          unregister and delete the spool
+//	POST   /v2/scenes           multipart upload: "header" (.hdr text)
+//	                            then "data" (raw payload)
+//	GET    /v2/scenes[/{id}]    registry listing / scene info
+//	POST   /v2/scenes/{id}/fuse JSON options body; the job reports
+//	                            per-tile progress
+//	DELETE /v2/scenes/{id}      unregister and delete the spool
 //
-// The same pool is also served as the v2 resource API — JSON option
-// bodies, structured {"error": {"code", "message"}} envelope, GET
-// /v2/jobs listing, long-poll GET /v2/jobs/{id}?wait=30s,
-// content-negotiated GET /v2/jobs/{id}/result, and the stage-span
-// timeline GET /v2/jobs/{id}/trace — documented in docs/openapi.yaml
-// and wrapped by the fusionclient SDK and the fusionctl CLI.
+// Errors travel in a structured {"error": {"code", "message"}}
+// envelope. The API is documented in docs/openapi.yaml and wrapped by
+// the fusionclient SDK and the fusionctl CLI.
 //
 // Durable mode (-spool /var/fusion/spool -journal /var/fusion/journal)
 // persists the scene catalog and a write-ahead job journal so scenes

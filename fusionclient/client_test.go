@@ -138,8 +138,8 @@ func TestSubmitWaitResult(t *testing.T) {
 		t.Errorf("SubmitHSIC repeat: state=%s hit=%v", rawRepeat.State, rawRepeat.CacheHit)
 	}
 
-	// An explicit zero knob means "pool default", like v1's
-	// granularity=0: the echo shows the default, not zero.
+	// An explicit zero knob means "pool default": the echo shows the
+	// default, not zero.
 	zeroed, err := client.SubmitCube(ctx, cube, &Options{Threshold: Float(0.05), Granularity: Int(0)})
 	if err != nil {
 		t.Fatal(err)
@@ -482,7 +482,6 @@ func TestErrorCodesMatchService(t *testing.T) {
 		CodeUnknownJob:       service.CodeUnknownJob,
 		CodeUnknownScene:     service.CodeUnknownScene,
 		CodeSceneLimit:       service.CodeSceneLimit,
-		CodeNoSceneResult:    service.CodeNoSceneResult,
 		CodeImageExpired:     service.CodeImageExpired,
 		CodeJobNotCancelable: service.CodeJobNotCancelable,
 		CodeJobNotFinished:   service.CodeJobNotFinished,

@@ -28,7 +28,6 @@ const (
 	CodeUnknownJob       = "unknown_job"
 	CodeUnknownScene     = "unknown_scene"
 	CodeSceneLimit       = "scene_limit"
-	CodeNoSceneResult    = "no_scene_result"
 	CodeImageExpired     = "image_expired"
 	CodeJobNotCancelable = "job_not_cancelable"
 	CodeJobNotFinished   = "job_not_finished"

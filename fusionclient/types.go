@@ -21,9 +21,8 @@ func (s JobState) Terminal() bool {
 
 // Options are the client-settable fusion knobs. Nil fields take the
 // pool's defaults (so does an explicit zero — the service treats zero
-// as unset, like v1's granularity=0); the canonical values a job
-// actually ran with come back in Job.Options. Use the Int and Float
-// helpers for literals:
+// as unset); the canonical values a job actually ran with come back in
+// Job.Options. Use the Int and Float helpers for literals:
 //
 //	fusionclient.Options{Threshold: fusionclient.Float(0.05)}
 type Options struct {
@@ -158,8 +157,9 @@ type SceneInfo struct {
 	Bytes      int64     `json:"bytes"`
 	Digest     string    `json:"digest,omitempty"`
 	Registered time.Time `json:"registered"`
-	// LastDoneJob is the job whose composite the scene's v1 result
-	// endpoint serves (empty until a fuse completes).
+	// LastDoneJob is the scene's most recent successful fuse (empty
+	// until one completes); GET /v2/jobs/{id}/result serves its
+	// composite.
 	LastDoneJob string `json:"last_done_job,omitempty"`
 }
 

@@ -5,9 +5,11 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"resilientfusion/internal/core"
+	"resilientfusion/internal/scene"
 )
 
 // TestAlgorithmCacheIsolation is the cache-key regression for the
@@ -207,17 +209,28 @@ func TestV2AlgorithmOption(t *testing.T) {
 	resp = postCubeV2(t, client, srv.URL+"/v2/jobs", testCube(t, 44), `{"algorithm":"median"}`)
 	wantEnvelope(t, resp, http.StatusBadRequest, CodeBadOption)
 
-	// The v1 query surface accepts the same knob and rejection.
-	resp = postCube(t, client, srv.URL+"/v1/jobs?algorithm=pyramid", testCube(t, 45))
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("v1 algorithm submit status %d", resp.StatusCode)
+	// The scene fuse decodes the same options body: a pyramid fusion
+	// of a registered scene echoes the canonical name too.
+	hdr, data := enviPayload(t, testCube(t, 45), scene.BIL)
+	info, err := pool.RegisterScene(hdr, bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if job := decodeJob(t, resp); job.Options == nil || job.Options.Algorithm != "pyramid" {
-		t.Fatalf("v1 echo: %+v", job.Options)
+	r, err := client.Post(srv.URL+"/v2/scenes/"+info.ID+"/fuse", "application/json",
+		strings.NewReader(`{"algorithm":"Pyramid"}`))
+	if err != nil {
+		t.Fatal(err)
 	}
-	resp = postCube(t, client, srv.URL+"/v1/jobs?algorithm=median", testCube(t, 45))
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("v1 unknown algorithm status %d", resp.StatusCode)
+	if r.StatusCode != http.StatusAccepted {
+		t.Fatalf("scene fuse status %d", r.StatusCode)
 	}
-	resp.Body.Close()
+	if job := decodeJob(t, r); job.Options == nil || job.Options.Algorithm != "pyramid" {
+		t.Fatalf("scene fuse echo: %+v", job.Options)
+	}
+	r, err = client.Post(srv.URL+"/v2/scenes/"+info.ID+"/fuse", "application/json",
+		strings.NewReader(`{"algorithm":"median"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantEnvelope(t, r, http.StatusBadRequest, CodeBadOption)
 }

@@ -31,8 +31,6 @@ const (
 	CodeUnknownScene = "unknown_scene"
 	// CodeSceneLimit: the scene registry is at capacity.
 	CodeSceneLimit = "scene_limit"
-	// CodeNoSceneResult: the scene has no completed fusion yet.
-	CodeNoSceneResult = "no_scene_result"
 	// CodeImageExpired: the composite aged out of the retention window
 	// (scalar results remain queryable).
 	CodeImageExpired = "image_expired"
@@ -83,8 +81,6 @@ func errorCode(err error) (string, int) {
 		return CodePayloadTooLarge, http.StatusRequestEntityTooLarge
 	case errors.Is(err, ErrScenePayload):
 		return CodeBadPayload, http.StatusBadRequest
-	case errors.Is(err, ErrNoSceneResult):
-		return CodeNoSceneResult, http.StatusNotFound
 	case errors.Is(err, ErrImageExpired):
 		return CodeImageExpired, http.StatusGone
 	}

@@ -1,11 +1,11 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"slices"
 	"sort"
@@ -15,6 +15,7 @@ import (
 
 	"resilientfusion/internal/core"
 	"resilientfusion/internal/hsi"
+	"resilientfusion/internal/scene"
 	"resilientfusion/internal/telemetry"
 )
 
@@ -22,9 +23,7 @@ import (
 // tests can exercise the limit without half-gigabyte uploads.
 var maxCubeBytes int64 = 512 << 20
 
-// jobJSON is the wire form of a JobStatus — the job resource shared by
-// both API versions (v2 serves the same shape; only error transport
-// differs).
+// jobJSON is the wire form of a JobStatus — the job resource.
 type jobJSON struct {
 	ID       string   `json:"id"`
 	State    JobState `json:"state"`
@@ -45,8 +44,8 @@ type jobJSON struct {
 }
 
 // resultJSON summarizes a core.Result for clients. The composite image
-// travels as base64 PNG only when requested (?image=1): it dominates the
-// response size.
+// is a separate artifact (GET /v2/jobs/{id}/result with Accept:
+// image/png): it dominates the response size.
 type resultJSON struct {
 	UniqueSetSize int             `json:"unique_set_size"`
 	SubCubes      int             `json:"sub_cubes"`
@@ -54,7 +53,6 @@ type resultJSON struct {
 	CacheMisses   int             `json:"cache_misses"`
 	Eigenvalues   []float64       `json:"eigenvalues"`
 	PhaseTimes    core.PhaseTimes `json:"phase_times"`
-	ImagePNG      string          `json:"image_png,omitempty"`
 }
 
 func statusJSON(st JobStatus) *jobJSON {
@@ -96,9 +94,9 @@ func statusJSON(st JobStatus) *jobJSON {
 
 // queryKeys validates a query against the allowed keys — unknown and
 // duplicated keys are rejected rather than ignored (a typo like
-// granularty=8 must fail loudly, not silently run the defaults) — and
+// ?wiat=30s must fail loudly, not silently skip the long-poll) — and
 // the keys come back sorted, so multi-error requests fail on a
-// deterministic key. Shared by v1's option parsing and the v2 handlers.
+// deterministic key.
 func queryKeys(q map[string][]string, allowed ...string) ([]string, error) {
 	keys := make([]string, 0, len(q))
 	for key := range q {
@@ -109,58 +107,14 @@ func queryKeys(q map[string][]string, allowed ...string) ([]string, error) {
 		if len(q[key]) > 1 {
 			return nil, fmt.Errorf("option %q given %d times", key, len(q[key]))
 		}
+		if len(allowed) == 0 {
+			return nil, fmt.Errorf("unknown option %q (this endpoint takes no query parameters)", key)
+		}
 		if !slices.Contains(allowed, key) {
 			return nil, fmt.Errorf("unknown option %q (valid: %s)", key, strings.Join(allowed, ", "))
 		}
 	}
 	return keys, nil
-}
-
-// optionsFromQuery builds per-job options from request query parameters
-// by filling the same OptionsJSON form the v2 JSON bodies decode into,
-// so both surfaces canonicalize through identical validation. The pool
-// fixes Workers; clients tune the algorithm knobs. A present-but-empty
-// value ("granularity=") is a bad value, not an absent knob: it fails
-// the parse below.
-func optionsFromQuery(r *http.Request) (core.Options, error) {
-	var oj OptionsJSON
-	q := r.URL.Query()
-	intKnobs := map[string]**int{
-		"granularity": &oj.Granularity,
-		"prefetch":    &oj.Prefetch,
-		"components":  &oj.Components,
-		"parallelism": &oj.Parallelism,
-	}
-	keys, err := queryKeys(q, "algorithm", "components", "granularity", "parallelism", "prefetch", "threshold")
-	if err != nil {
-		return core.Options{}, err
-	}
-	for _, key := range keys {
-		s := q.Get(key)
-		if field, ok := intKnobs[key]; ok {
-			v, err := strconv.Atoi(s)
-			if err != nil {
-				return core.Options{}, fmt.Errorf("bad %s %q", key, s)
-			}
-			*field = &v
-			continue
-		}
-		if key == "algorithm" {
-			v := s
-			oj.Algorithm = &v
-			continue
-		}
-		// threshold is the only non-int knob. NaN/Inf are re-checked in
-		// OptionsJSON.Options, but rejecting them here keeps the v1
-		// error string quoting the client's raw input, byte-identical
-		// to the historical parser.
-		v, err := strconv.ParseFloat(s, 64)
-		if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
-			return core.Options{}, fmt.Errorf("bad threshold %q", s)
-		}
-		oj.Threshold = &v
-	}
-	return oj.Options()
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
@@ -169,229 +123,399 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-func writeError(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, map[string]string{"error": err.Error()})
-}
-
-// Handler exposes the pool as an HTTP API:
-//
-//	POST /v1/jobs        submit an HSIC-encoded cube (body) with options
-//	                     in query params (granularity, prefetch,
-//	                     threshold, components, parallelism) →
-//	                     202 {id, state}
-//	GET  /v1/jobs/{id}   job status/result (?image=1 adds base64 PNG)
-//	GET  /v1/stats       queue depth, cache hit rate, throughput
-//	GET  /metrics        Prometheus text exposition of the pool registry
-//
-// Scene endpoints (whole-scene streaming fusion):
-//
-//	POST   /v1/scenes               register an ENVI scene: multipart
-//	                                form with a "header" part (ENVI .hdr
-//	                                text, first) and a "data" part (raw
-//	                                payload in the header's interleave);
-//	                                the payload spools to disk, never to
-//	                                memory → 201 scene info
-//	GET    /v1/scenes               list registered scenes
-//	GET    /v1/scenes/{id}          scene info
-//	DELETE /v1/scenes/{id}          unregister + delete the spool
-//	POST   /v1/scenes/{id}/fuse     fuse the whole scene through the
-//	                                worker pool (same option params as
-//	                                /v1/jobs) → 202 job with per-tile
-//	                                progress; poll GET /v1/jobs/{id}
-//	GET    /v1/scenes/{id}/result   composite of the latest completed
-//	                                fusion as image/png
-//
-// The same handler also serves the v2 resource API — JSON option bodies,
-// structured error envelope, job listing, long-poll, content-negotiated
-// results — see registerV2 in http_v2.go.
+// Handler exposes the pool as the HTTP API specified in
+// docs/openapi.yaml. Errors travel in a structured envelope
+// {"error": {"code", "message"}} with stable machine-readable codes
+// (apierror.go); job options are JSON bodies decoded into OptionsJSON;
+// cube and scene fusions are one job resource with listing,
+// canonical-options echo, long-poll (?wait=, capped by
+// Config.MaxLongPoll), and a content-negotiated result artifact.
 func (p *Pool) Handler() http.Handler {
 	mux := http.NewServeMux()
-
-	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
-		opts, err := optionsFromQuery(r)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
+	mux.HandleFunc("POST /v2/jobs", p.handleSubmitJob)
+	mux.HandleFunc("GET /v2/jobs", p.handleListJobs)
+	mux.HandleFunc("GET /v2/jobs/{id}", p.handleGetJob)
+	mux.HandleFunc("DELETE /v2/jobs/{id}", p.handleCancelJob)
+	mux.HandleFunc("GET /v2/jobs/{id}/result", p.handleJobResult)
+	mux.HandleFunc("GET /v2/jobs/{id}/trace", p.handleJobTrace)
+	mux.HandleFunc("GET /v2/stats", func(w http.ResponseWriter, r *http.Request) {
+		if !noQuery(w, r) {
 			return
 		}
-		// ReadCubeLimit bounds the upload by the header's claimed
-		// dimensions before allocating (a 20-byte request must not
-		// demand a terabyte) and then reads exactly the claimed bytes,
-		// so no separate body cap is needed.
-		cube, err := hsi.ReadCubeLimit(r.Body, maxCubeBytes)
-		if err != nil {
-			if errors.Is(err, hsi.ErrCubeTooLarge) {
-				writeError(w, http.StatusRequestEntityTooLarge,
-					fmt.Errorf("cube exceeds the %d-byte upload limit", maxCubeBytes))
-				return
-			}
-			writeError(w, http.StatusBadRequest, fmt.Errorf("decoding cube: %w", err))
-			return
-		}
-		st, err := p.Submit(cube, opts)
-		switch {
-		case errors.Is(err, ErrQueueFull):
-			writeError(w, http.StatusServiceUnavailable, err)
-			return
-		case errors.Is(err, ErrClosed):
-			writeError(w, http.StatusServiceUnavailable, err)
-			return
-		case err != nil:
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		writeJSON(w, http.StatusAccepted, statusJSON(st))
-	})
-
-	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
-		st, err := p.Status(r.PathValue("id"))
-		switch {
-		case errors.Is(err, ErrUnknownJob):
-			writeError(w, http.StatusNotFound, err)
-			return
-		case err != nil:
-			// Any other Status failure must not serialize a zero-value
-			// snapshot as a healthy 200.
-			writeError(w, http.StatusInternalServerError, err)
-			return
-		}
-		body := statusJSON(st)
-		if r.URL.Query().Get("image") == "1" && body.Result != nil && st.State == StateDone {
-			b64, err := p.ImagePNGBase64(st.ID)
-			switch {
-			case errors.Is(err, ErrImageExpired):
-				writeError(w, http.StatusGone, err)
-				return
-			case err != nil:
-				writeError(w, http.StatusInternalServerError, err)
-				return
-			}
-			body.Result.ImagePNG = b64
-		}
-		writeJSON(w, http.StatusOK, body)
-	})
-
-	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, p.Stats())
 	})
-
-	mux.HandleFunc("POST /v1/scenes", func(w http.ResponseWriter, r *http.Request) {
-		info, err := p.sceneFromMultipart(r)
-		switch {
-		case errors.Is(err, ErrSceneTooLarge):
-			writeError(w, http.StatusRequestEntityTooLarge, err)
-			return
-		case errors.Is(err, ErrSceneLimit):
-			writeError(w, http.StatusServiceUnavailable, err)
-			return
-		case errors.Is(err, ErrClosed):
-			writeError(w, http.StatusServiceUnavailable, err)
-			return
-		case err != nil:
-			writeError(w, http.StatusBadRequest, err)
+	mux.HandleFunc("POST /v2/scenes", p.handleRegisterScene)
+	mux.HandleFunc("GET /v2/scenes", func(w http.ResponseWriter, r *http.Request) {
+		if !noQuery(w, r) {
 			return
 		}
-		writeJSON(w, http.StatusCreated, info)
-	})
-
-	mux.HandleFunc("GET /v1/scenes", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]any{"scenes": p.Scenes()})
 	})
-
-	mux.HandleFunc("GET /v1/scenes/{id}", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v2/scenes/{id}", func(w http.ResponseWriter, r *http.Request) {
+		if !noQuery(w, r) {
+			return
+		}
 		info, err := p.Scene(r.PathValue("id"))
-		if errors.Is(err, ErrUnknownScene) {
-			writeError(w, http.StatusNotFound, err)
+		if err != nil {
+			writeAPIError(w, err)
 			return
 		}
 		writeJSON(w, http.StatusOK, info)
 	})
-
-	mux.HandleFunc("DELETE /v1/scenes/{id}", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("DELETE /v2/scenes/{id}", func(w http.ResponseWriter, r *http.Request) {
+		if !noQuery(w, r) {
+			return
+		}
 		if err := p.RemoveScene(r.PathValue("id")); err != nil {
-			writeError(w, http.StatusNotFound, err)
+			writeAPIError(w, err)
 			return
 		}
 		w.WriteHeader(http.StatusNoContent)
 	})
+	mux.HandleFunc("POST /v2/scenes/{id}/fuse", p.handleFuseScene)
+	mux.Handle("GET /metrics", p.metrics.reg.Handler())
+	// Every route, /metrics included, reports into the route×status
+	// latency histogram.
+	return p.httpMiddleware(mux)
+}
 
-	mux.HandleFunc("POST /v1/scenes/{id}/fuse", func(w http.ResponseWriter, r *http.Request) {
-		opts, err := optionsFromQuery(r)
+// noQuery rejects any query parameter on endpoints that take none —
+// the same no-silent-typos rule the option-bearing endpoints enforce.
+// It reports whether the handler may proceed.
+func noQuery(w http.ResponseWriter, r *http.Request) bool {
+	if _, err := queryKeys(r.URL.Query()); err != nil {
+		writeAPIErrorCode(w, http.StatusBadRequest, CodeBadOption, err.Error())
+		return false
+	}
+	return true
+}
+
+// handleSubmitJob accepts a multipart submission: an optional "options" part
+// holding the OptionsJSON body, then a "cube" part streaming the
+// HSIC-encoded cube.
+func (p *Pool) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
+	// Options travel in the body; a query-string ?threshold=... here
+	// would otherwise be dropped silently.
+	if !noQuery(w, r) {
+		return
+	}
+	mr, err := r.MultipartReader()
+	if err != nil {
+		writeAPIErrorCode(w, http.StatusBadRequest, CodeBadPayload,
+			fmt.Sprintf("multipart body required: %v", err))
+		return
+	}
+	part, err := mr.NextPart()
+	if err != nil {
+		writeAPIErrorCode(w, http.StatusBadRequest, CodeBadPayload,
+			`multipart needs an optional "options" part then a "cube" part`)
+		return
+	}
+	var opts core.Options
+	if part.FormName() == "options" {
+		opts, err = decodeOptionsBody(part)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
+			writeAPIErrorCode(w, http.StatusBadRequest, CodeBadOption, err.Error())
 			return
 		}
-		st, err := p.FuseScene(r.PathValue("id"), opts)
-		switch {
-		case errors.Is(err, ErrUnknownScene):
-			writeError(w, http.StatusNotFound, err)
-			return
-		case errors.Is(err, ErrQueueFull), errors.Is(err, ErrClosed):
-			writeError(w, http.StatusServiceUnavailable, err)
-			return
-		case err != nil:
-			writeError(w, http.StatusBadRequest, err)
+		if part, err = mr.NextPart(); err != nil {
+			writeAPIErrorCode(w, http.StatusBadRequest, CodeBadPayload,
+				`"cube" part missing after "options"`)
 			return
 		}
-		writeJSON(w, http.StatusAccepted, statusJSON(st))
-	})
+	}
+	if part.FormName() != "cube" {
+		writeAPIErrorCode(w, http.StatusBadRequest, CodeBadPayload,
+			fmt.Sprintf(`unexpected multipart part %q (want "cube")`, part.FormName()))
+		return
+	}
+	// ReadCubeLimit bounds the upload by the header's claimed dimensions
+	// before allocating (a 20-byte request must not demand a terabyte)
+	// and then reads exactly the claimed bytes, so no separate body cap
+	// is needed.
+	cube, err := hsi.ReadCubeLimit(part, maxCubeBytes)
+	if err != nil {
+		if errors.Is(err, hsi.ErrCubeTooLarge) {
+			writeAPIErrorCode(w, http.StatusRequestEntityTooLarge, CodePayloadTooLarge,
+				fmt.Sprintf("cube exceeds the %d-byte upload limit", maxCubeBytes))
+			return
+		}
+		writeAPIErrorCode(w, http.StatusBadRequest, CodeBadPayload,
+			fmt.Sprintf("decoding cube: %v", err))
+		return
+	}
+	// Multipart form fields are unordered in general; a part trailing
+	// the cube (an out-of-place "options", say) would otherwise be
+	// dropped silently — the exact failure mode unknown query keys and
+	// unknown JSON fields are rejected to prevent.
+	if extra, err := mr.NextPart(); err == nil {
+		writeAPIErrorCode(w, http.StatusBadRequest, CodeBadPayload,
+			fmt.Sprintf(`unexpected multipart part %q after "cube" (options must precede the cube)`, extra.FormName()))
+		return
+	} else if !errors.Is(err, io.EOF) {
+		writeAPIErrorCode(w, http.StatusBadRequest, CodeBadPayload,
+			fmt.Sprintf("reading multipart body: %v", err))
+		return
+	}
+	st, err := p.Submit(cube, opts)
+	if err != nil {
+		writeAPIError(w, err)
+		return
+	}
+	writeJSON(w, http.StatusAccepted, statusJSON(st))
+}
 
-	mux.HandleFunc("GET /v1/scenes/{id}/result", func(w http.ResponseWriter, r *http.Request) {
-		data, err := p.SceneResultPNG(r.PathValue("id"))
-		switch {
-		case errors.Is(err, ErrUnknownScene), errors.Is(err, ErrNoSceneResult), errors.Is(err, ErrUnknownJob):
-			writeError(w, http.StatusNotFound, err)
+// handleListJobs serves the job listing, newest submission first.
+func (p *Pool) handleListJobs(w http.ResponseWriter, r *http.Request) {
+	q := r.URL.Query()
+	var state JobState
+	limit := 100
+	keys, err := queryKeys(q, "state", "limit")
+	if err != nil {
+		writeAPIErrorCode(w, http.StatusBadRequest, CodeBadOption, err.Error())
+		return
+	}
+	for _, key := range keys {
+		switch key {
+		case "state":
+			switch s := JobState(q.Get(key)); s {
+			case StateQueued, StateRunning, StateDone, StateFailed, StateCanceled:
+				state = s
+			default:
+				writeAPIErrorCode(w, http.StatusBadRequest, CodeBadOption,
+					fmt.Sprintf("unknown state %q (valid: queued, running, done, failed, canceled)", q.Get(key)))
+				return
+			}
+		case "limit":
+			v, err := strconv.Atoi(q.Get(key))
+			if err != nil || v < 1 {
+				writeAPIErrorCode(w, http.StatusBadRequest, CodeBadOption,
+					fmt.Sprintf("bad limit %q", q.Get(key)))
+				return
+			}
+			limit = v
+		}
+	}
+	statuses := p.Jobs(state, limit)
+	jobs := make([]*jobJSON, len(statuses))
+	for i, st := range statuses {
+		jobs[i] = statusJSON(st)
+	}
+	writeJSON(w, http.StatusOK, map[string]any{"jobs": jobs})
+}
+
+// handleGetJob serves a job resource, long-polling when ?wait= is given: the
+// response carries a terminal state unless the wait (trimmed to the
+// server cap) elapsed first, so clients need no status-poll loops.
+func (p *Pool) handleGetJob(w http.ResponseWriter, r *http.Request) {
+	id := r.PathValue("id")
+	q := r.URL.Query()
+	if _, err := queryKeys(q, "wait"); err != nil {
+		writeAPIErrorCode(w, http.StatusBadRequest, CodeBadOption, err.Error())
+		return
+	}
+	if !q.Has("wait") {
+		st, err := p.Status(id)
+		if err != nil {
+			writeAPIError(w, err)
 			return
-		case errors.Is(err, ErrImageExpired):
-			writeError(w, http.StatusGone, err)
-			return
-		case err != nil:
-			writeError(w, http.StatusInternalServerError, err)
+		}
+		writeJSON(w, http.StatusOK, statusJSON(st))
+		return
+	}
+	// A present-but-empty value ("?wait=", a lost shell variable) is a
+	// bad value, not an absent knob: it fails the parse below.
+	waitStr := q.Get("wait")
+	d, err := time.ParseDuration(waitStr)
+	if err != nil || d <= 0 {
+		writeAPIErrorCode(w, http.StatusBadRequest, CodeBadOption,
+			fmt.Sprintf("bad wait %q (want a positive duration like 30s)", waitStr))
+		return
+	}
+	if d > p.cfg.MaxLongPoll {
+		d = p.cfg.MaxLongPoll
+	}
+	// Count a park only when the wait will actually block on a
+	// non-terminal job (the common fast path — polling a finished job —
+	// is not a park).
+	if st, err := p.Status(id); err == nil && !st.State.terminal() {
+		p.metrics.longpollParks.Inc()
+	}
+	ctx, cancel := context.WithTimeout(r.Context(), d)
+	defer cancel()
+	st, err := p.WaitContext(ctx, id)
+	switch {
+	case err == nil, errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
+		// Terminal, the wait elapsed, or the request context was torn
+		// down (server draining — see fusiond's BaseContext — or the
+		// client went away, where the write just fails silently): the
+		// current snapshot is the answer and a live client decides
+		// whether to long-poll again.
+		writeJSON(w, http.StatusOK, statusJSON(st))
+	default:
+		writeAPIError(w, err)
+	}
+}
+
+// handleCancelJob withdraws a queued job, returning the canceled resource.
+func (p *Pool) handleCancelJob(w http.ResponseWriter, r *http.Request) {
+	if !noQuery(w, r) {
+		return
+	}
+	st, err := p.Cancel(r.PathValue("id"))
+	if err != nil {
+		writeAPIError(w, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, statusJSON(st))
+}
+
+// handleJobResult serves a finished job's artifact with content negotiation:
+// image/png when the Accept header asks for it, the JSON result summary
+// otherwise.
+func (p *Pool) handleJobResult(w http.ResponseWriter, r *http.Request) {
+	if !noQuery(w, r) {
+		return
+	}
+	id := r.PathValue("id")
+	st, err := p.Status(id)
+	if err != nil {
+		writeAPIError(w, err)
+		return
+	}
+	switch st.State {
+	case StateFailed:
+		writeAPIErrorCode(w, http.StatusConflict, CodeJobFailed,
+			fmt.Sprintf("job %s failed: %v", id, st.Err))
+		return
+	case StateDone:
+	default:
+		writeAPIErrorCode(w, http.StatusConflict, CodeJobNotFinished,
+			fmt.Sprintf("job %s is %s", id, st.State))
+		return
+	}
+	if acceptsPNG(r.Header.Get("Accept")) {
+		data, err := p.ImagePNG(id)
+		if err != nil {
+			writeAPIError(w, err)
 			return
 		}
 		w.Header().Set("Content-Type", "image/png")
 		w.WriteHeader(http.StatusOK)
 		_, _ = w.Write(data)
-	})
-
-	mux.Handle("GET /metrics", p.metrics.reg.Handler())
-
-	p.registerV2(mux)
-	// Every route (both API versions, /metrics itself) reports into the
-	// route×status latency histogram.
-	return p.httpMiddleware(mux)
+		return
+	}
+	body := statusJSON(st)
+	writeJSON(w, http.StatusOK, body.Result)
 }
 
-// uploadFormatError marks a malformed multipart upload — client-caused,
-// distinct from server-side registration failures. Error() is the bare
-// message, so v1's bare-string error responses are byte-identical to
-// the historical inline handler; v2 classifies it as bad_payload.
-type uploadFormatError struct{ msg string }
+// handleJobTrace serves the job's recorded stage-span timeline.
+func (p *Pool) handleJobTrace(w http.ResponseWriter, r *http.Request) {
+	if !noQuery(w, r) {
+		return
+	}
+	tr, err := p.Trace(r.PathValue("id"))
+	if err != nil {
+		writeAPIError(w, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, tr)
+}
 
-func (e *uploadFormatError) Error() string { return e.msg }
+// acceptsPNG reports whether an Accept header asks for the composite
+// image rather than the JSON summary. This is a deliberate two-outcome
+// rule, not full RFC 9110 ranking: naming image/png (or image/*) with
+// any nonzero quality opts in, a q=0 refusal opts out, and a bare */*
+// (or no header) keeps the JSON default — programs must opt in to
+// image bytes.
+func acceptsPNG(accept string) bool {
+	for _, part := range strings.Split(accept, ",") {
+		params := strings.Split(part, ";")
+		// Media types and parameter names are case-insensitive (RFC
+		// 9110 §8.3.1).
+		mt := strings.TrimSpace(params[0])
+		if !strings.EqualFold(mt, "image/png") && !strings.EqualFold(mt, "image/*") {
+			continue
+		}
+		refused := false
+		for _, param := range params[1:] {
+			if k, v, ok := strings.Cut(strings.TrimSpace(param), "="); ok && strings.EqualFold(strings.TrimSpace(k), "q") {
+				if q, err := strconv.ParseFloat(strings.TrimSpace(v), 64); err == nil && q == 0 {
+					refused = true
+				}
+			}
+		}
+		if !refused {
+			return true
+		}
+	}
+	return false
+}
 
-// sceneFromMultipart parses the two-part scene upload — a "header" part
-// of ENVI header text, then a "data" part streaming the raw payload —
-// and registers it. The header part is read fully (it is a page of
-// text); the data part flows straight to the spool. Framing failures
-// come back as *uploadFormatError; everything else is RegisterScene's
-// error surface.
-func (p *Pool) sceneFromMultipart(r *http.Request) (SceneInfo, error) {
+// handleRegisterScene registers a scene from the two-part multipart
+// upload: a "header" part of ENVI header text, then a "data" part
+// streaming the raw payload. The header part is read fully (it is a page
+// of text); the data part flows straight to the spool.
+func (p *Pool) handleRegisterScene(w http.ResponseWriter, r *http.Request) {
+	if !noQuery(w, r) {
+		return
+	}
+	badPayload := func(msg string) {
+		writeAPIErrorCode(w, http.StatusBadRequest, CodeBadPayload, msg)
+	}
 	mr, err := r.MultipartReader()
 	if err != nil {
-		return SceneInfo{}, &uploadFormatError{msg: fmt.Sprintf("multipart body required: %v", err)}
+		badPayload(fmt.Sprintf("multipart body required: %v", err))
+		return
 	}
 	hdrPart, err := mr.NextPart()
 	if err != nil || hdrPart.FormName() != "header" {
-		return SceneInfo{}, &uploadFormatError{msg: `first multipart part must be "header" (ENVI header text)`}
+		badPayload(`first multipart part must be "header" (ENVI header text)`)
+		return
 	}
 	// An ENVI header is a page of text; 1 MiB is generous.
 	hdrText, err := io.ReadAll(io.LimitReader(hdrPart, 1<<20))
 	if err != nil {
-		return SceneInfo{}, &uploadFormatError{msg: fmt.Sprintf("reading header part: %v", err)}
+		badPayload(fmt.Sprintf("reading header part: %v", err))
+		return
 	}
 	dataPart, err := mr.NextPart()
 	if err != nil || dataPart.FormName() != "data" {
-		return SceneInfo{}, &uploadFormatError{msg: `second multipart part must be "data" (raw scene payload)`}
+		badPayload(`second multipart part must be "data" (raw scene payload)`)
+		return
 	}
-	return p.RegisterScene(string(hdrText), dataPart)
+	info, err := p.RegisterScene(string(hdrText), dataPart)
+	switch {
+	case errors.Is(err, scene.ErrHeader):
+		// A bad ENVI header is client-caused. Anything else unmapped
+		// (spool I/O, say) is a genuine server fault and must stay a
+		// 5xx so machine clients retry instead of concluding their
+		// upload is malformed.
+		badPayload(err.Error())
+	case err != nil:
+		writeAPIError(w, err)
+	default:
+		writeJSON(w, http.StatusCreated, info)
+	}
+}
+
+// handleFuseScene enqueues a whole-scene fusion with a JSON options body
+// (empty body selects the pool defaults).
+func (p *Pool) handleFuseScene(w http.ResponseWriter, r *http.Request) {
+	// Options travel in the JSON body; a query-string ?threshold=...
+	// here would otherwise be dropped silently.
+	if !noQuery(w, r) {
+		return
+	}
+	opts, err := decodeOptionsBody(r.Body)
+	if err != nil {
+		writeAPIErrorCode(w, http.StatusBadRequest, CodeBadOption, err.Error())
+		return
+	}
+	st, err := p.FuseScene(r.PathValue("id"), opts)
+	if err != nil {
+		writeAPIError(w, err)
+		return
+	}
+	writeJSON(w, http.StatusAccepted, statusJSON(st))
 }

@@ -28,6 +28,12 @@ const (
 	StateCanceled JobState = "canceled"
 )
 
+// terminal reports whether s is a final state: the job's done channel is
+// closed and its snapshot no longer changes.
+func (s JobState) terminal() bool {
+	return s == StateDone || s == StateFailed || s == StateCanceled
+}
+
 // Job is one fusion request moving through the pool.
 type Job struct {
 	id     string
@@ -70,13 +76,11 @@ type Job struct {
 	submitted, started time.Time
 	finished           time.Time
 
-	// Composite image memoized as PNG (and its base64 form, which the
-	// HTTP handler serves on every poll) on first request — results are
+	// Composite image memoized as PNG on first request — results are
 	// immutable once the job is done. Guarded by pngMu (not the pool
 	// mutex: PNG encoding must not block the pool).
-	pngMu  sync.Mutex
-	png    []byte
-	pngB64 string
+	pngMu sync.Mutex
+	png   []byte
 }
 
 // TileProgress is a scene job's per-tile pipeline position: each tile

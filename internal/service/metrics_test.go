@@ -142,22 +142,8 @@ func TestSceneJobTraceEndpoint(t *testing.T) {
 	client := srv.Client()
 
 	hdr, data := enviPayload(t, testCube(t, 29), scene.BIL)
-	resp := postScene(t, client, srv.URL+"/v1/scenes", hdr, data)
-	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("scene register status %d", resp.StatusCode)
-	}
-	var info struct {
-		ID string `json:"id"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-
-	r, err := client.Post(srv.URL+"/v1/scenes/"+info.ID+"/fuse?threshold=0.05&granularity=2", "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	info := registerScene(t, client, srv.URL, hdr, data)
+	r := fuseScene(t, client, srv.URL, info.ID, `{"threshold": 0.05, "granularity": 2}`)
 	if r.StatusCode != http.StatusAccepted {
 		t.Fatalf("fuse status %d", r.StatusCode)
 	}

@@ -1,22 +1,24 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math"
+	"strings"
+	"unicode"
 
 	"resilientfusion/internal/core"
 )
 
 // OptionsJSON is the client-settable fusion knobs as they travel on the
-// wire — the v2 JSON request form, and the form v1's query parser fills,
-// so both surfaces canonicalize through the same validation. Pointer
-// fields keep absent knobs off the wire; an explicitly sent zero means
-// "pool default" just like v1's granularity=0 (core.Options treats zero
-// as unset throughout). Workers, replication, and scheduling policy are
-// fixed by the pool and not settable here.
+// wire: the JSON options body of job submissions and scene fuses.
+// Pointer fields keep absent knobs off the wire; an explicitly sent zero
+// means "pool default" (core.Options treats zero as unset throughout).
+// Workers, replication, and scheduling policy are fixed by the pool and
+// not settable here.
 type OptionsJSON struct {
 	Granularity *int     `json:"granularity,omitempty"`
 	Prefetch    *int     `json:"prefetch,omitempty"`
@@ -32,8 +34,8 @@ type OptionsJSON struct {
 // Options validates the wire form and lowers it onto core.Options (not
 // yet canonicalized — the pool's canonicalOptions applies defaults and
 // policy). Range checks beyond representability live in
-// canonicalOptions; this layer rejects values JSON or query strings can
-// carry but no computation can mean.
+// canonicalOptions; this layer rejects values JSON can carry but no
+// computation can mean.
 func (o OptionsJSON) Options() (core.Options, error) {
 	var opts core.Options
 	if o.Granularity != nil {
@@ -65,12 +67,18 @@ func (o OptionsJSON) Options() (core.Options, error) {
 // payload channel.
 const maxOptionsBytes = 1 << 20
 
-// decodeOptionsBody reads a v2 options JSON body. An empty body selects
-// the pool defaults; unknown fields are rejected the way v1 rejects
-// unknown query keys (a typo must fail loudly, not silently run the
-// defaults).
+// decodeOptionsBody reads an options JSON body. An empty body selects
+// the pool defaults; unknown fields are rejected (a typo must fail
+// loudly, not silently run the defaults).
 func decodeOptionsBody(r io.Reader) (core.Options, error) {
-	dec := json.NewDecoder(io.LimitReader(r, maxOptionsBytes))
+	body, err := io.ReadAll(io.LimitReader(r, maxOptionsBytes))
+	if err != nil {
+		return core.Options{}, fmt.Errorf("bad options JSON: %w", err)
+	}
+	if key, ok := duplicateKey(body); ok {
+		return core.Options{}, fmt.Errorf("option %q given more than once", key)
+	}
+	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	var oj OptionsJSON
 	if err := dec.Decode(&oj); err != nil {
@@ -87,9 +95,52 @@ func decodeOptionsBody(r io.Reader) (core.Options, error) {
 	return oj.Options()
 }
 
+// duplicateKey finds a top-level key given twice in a JSON object —
+// which encoding/json would resolve silently, last value winning.
+// Keys compare the way the decoder matches them to fields, under
+// Unicode simple case folding, so "granularity" and "Granularity"
+// collide. Malformed input reports no duplicate: the decode that
+// follows rejects it with a precise error.
+func duplicateKey(body []byte) (string, bool) {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
+		return "", false
+	}
+	seen := map[string]bool{}
+	for dec.More() {
+		tok, err := dec.Token()
+		if err != nil {
+			return "", false
+		}
+		key, _ := tok.(string)
+		folded := strings.Map(foldRune, key)
+		if seen[folded] {
+			return key, true
+		}
+		seen[folded] = true
+		var value json.RawMessage
+		if err := dec.Decode(&value); err != nil {
+			return "", false
+		}
+	}
+	return "", false
+}
+
+// foldRune maps r to the smallest rune of its simple case-folding
+// orbit, so two keys fold equal exactly when strings.EqualFold holds.
+func foldRune(r rune) rune {
+	for {
+		next := unicode.SimpleFold(r)
+		if next <= r {
+			return next
+		}
+		r = next
+	}
+}
+
 // JobOptions is the canonical options echo in job status: every knob the
 // job actually ran with, defaults filled in, including the pool-fixed
-// worker count. Shared by the v1 and v2 job resources.
+// worker count.
 type JobOptions struct {
 	Workers     int     `json:"workers"`
 	Granularity int     `json:"granularity"`

@@ -27,9 +27,6 @@ var (
 	// ErrScenePayload reports an upload whose payload does not match the
 	// header's claimed size (truncated or oversized).
 	ErrScenePayload = errors.New("service: scene payload size mismatch")
-	// ErrNoSceneResult reports a result request for a scene with no
-	// completed fusion.
-	ErrNoSceneResult = errors.New("service: scene has no completed fusion")
 )
 
 // sceneEntry is one registered scene. Immutable after registration
@@ -64,8 +61,9 @@ type SceneInfo struct {
 	Bytes      int64            `json:"bytes"`
 	Digest     string           `json:"digest,omitempty"`
 	Registered time.Time        `json:"registered"`
-	// LastDoneJob is the job ID whose composite GET
-	// /v1/scenes/{id}/result serves (empty until a fuse completes).
+	// LastDoneJob is the ID of the scene's most recent successful fuse
+	// (empty until one completes); GET /v2/jobs/{id}/result serves its
+	// composite.
 	LastDoneJob string `json:"last_done_job,omitempty"`
 }
 
@@ -359,25 +357,6 @@ func (p *Pool) FuseScene(id string, opts core.Options) (JobStatus, error) {
 		f.Close() // job was never admitted; finish() will not run
 	}
 	return st, err
-}
-
-// SceneResultPNG returns the composite of the scene's most recent
-// completed fusion as PNG.
-func (p *Pool) SceneResultPNG(id string) ([]byte, error) {
-	p.mu.Lock()
-	ent := p.scenes[id]
-	var jobID string
-	if ent != nil {
-		jobID = ent.lastDone
-	}
-	p.mu.Unlock()
-	if ent == nil {
-		return nil, ErrUnknownScene
-	}
-	if jobID == "" {
-		return nil, fmt.Errorf("%w: %s", ErrNoSceneResult, id)
-	}
-	return p.ImagePNG(jobID)
 }
 
 // sceneSource adapts a scene tiler (plain or prefetching) to the

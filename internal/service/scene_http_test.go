@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -38,7 +39,7 @@ func enviPayload(t *testing.T, cube *hsi.Cube, il scene.Interleave) (string, []b
 	return string(hdr), data
 }
 
-// postScene uploads header+data as the multipart form POST /v1/scenes
+// postScene uploads header+data as the multipart form POST /v2/scenes
 // expects.
 func postScene(t *testing.T, client *http.Client, url, hdr string, data []byte) *http.Response {
 	t.Helper()
@@ -73,23 +74,89 @@ func postScene(t *testing.T, client *http.Client, url, hdr string, data []byte) 
 	return resp
 }
 
+// pollJob long-polls a job over HTTP until it reaches a terminal state.
 func pollJob(t *testing.T, client *http.Client, base, id string) jobJSON {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		r, err := client.Get(base + "/v1/jobs/" + id)
+		r, err := client.Get(base + "/v2/jobs/" + id + "?wait=10s")
 		if err != nil {
 			t.Fatal(err)
 		}
 		job := decodeJob(t, r)
-		if job.State == StateDone || job.State == StateFailed {
+		if job.State.terminal() {
 			return job
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("job %s stuck in state %s", id, job.State)
 		}
-		time.Sleep(5 * time.Millisecond)
 	}
+}
+
+// fuseScene posts a scene fuse with an options JSON body.
+func fuseScene(t *testing.T, client *http.Client, base, id, optionsJSON string) *http.Response {
+	t.Helper()
+	r, err := client.Post(base+"/v2/scenes/"+id+"/fuse", "application/json", strings.NewReader(optionsJSON))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// registerScene uploads a scene and decodes the 201 scene info.
+func registerScene(t *testing.T, client *http.Client, base, hdr string, data []byte) SceneInfo {
+	t.Helper()
+	resp := postScene(t, client, base+"/v2/scenes", hdr, data)
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		body, _ := io.ReadAll(resp.Body)
+		t.Fatalf("scene register status %d: %s", resp.StatusCode, body)
+	}
+	var info SceneInfo
+	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
+		t.Fatal(err)
+	}
+	return info
+}
+
+// sceneResultPNG fetches the composite of a scene's latest completed
+// fusion: the scene resource names the job, the job resource serves
+// the image.
+func sceneResultPNG(t *testing.T, client *http.Client, base, sceneID string) []byte {
+	t.Helper()
+	r, err := client.Get(base + "/v2/scenes/" + sceneID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Body.Close()
+	var info SceneInfo
+	if err := json.NewDecoder(r.Body).Decode(&info); err != nil {
+		t.Fatal(err)
+	}
+	if info.LastDoneJob == "" {
+		t.Fatalf("scene %s has no completed fusion", sceneID)
+	}
+	return jobResultPNG(t, client, base, info.LastDoneJob)
+}
+
+// jobResultPNG fetches a finished job's composite as image/png.
+func jobResultPNG(t *testing.T, client *http.Client, base, jobID string) []byte {
+	t.Helper()
+	req := mustReq(t, http.MethodGet, base+"/v2/jobs/"+jobID+"/result")
+	req.Header.Set("Accept", "image/png")
+	r, err := client.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Body.Close()
+	if r.StatusCode != http.StatusOK || r.Header.Get("Content-Type") != "image/png" {
+		t.Fatalf("result status %d type %s", r.StatusCode, r.Header.Get("Content-Type"))
+	}
+	data, err := io.ReadAll(r.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
 }
 
 // TestSceneHTTPEndToEnd exercises the whole-scene flow over HTTP —
@@ -109,10 +176,10 @@ func TestSceneHTTPEndToEnd(t *testing.T) {
 	client := srv.Client()
 
 	cube := testCube(t, 33)
-	const params = "?threshold=0.05&granularity=3"
+	const options = `{"threshold": 0.05, "granularity": 3}`
 
-	// In-memory reference: upload the cube through the historical path.
-	resp := postCube(t, client, srv.URL+"/v1/jobs"+params, cube)
+	// In-memory reference: upload the cube as a job.
+	resp := postCubeV2(t, client, srv.URL+"/v2/jobs", cube, options)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("cube submit status %d", resp.StatusCode)
 	}
@@ -120,23 +187,11 @@ func TestSceneHTTPEndToEnd(t *testing.T) {
 	if ref.State != StateDone {
 		t.Fatalf("reference job failed: %s", ref.Error)
 	}
-	refPNG, err := pool.ImagePNG(ref.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
+	refPNG := jobResultPNG(t, client, srv.URL, ref.ID)
 
 	// Register the same samples as a streamed BIL scene.
 	hdr, data := enviPayload(t, cube, scene.BIL)
-	resp = postScene(t, client, srv.URL+"/v1/scenes", hdr, data)
-	if resp.StatusCode != http.StatusCreated {
-		body, _ := io.ReadAll(resp.Body)
-		t.Fatalf("scene register status %d: %s", resp.StatusCode, body)
-	}
-	var info SceneInfo
-	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
+	info := registerScene(t, client, srv.URL, hdr, data)
 	if info.Width != cube.Width || info.Height != cube.Height || info.Bands != cube.Bands {
 		t.Fatalf("scene info %+v", info)
 	}
@@ -151,14 +206,11 @@ func TestSceneHTTPEndToEnd(t *testing.T) {
 	// Fuse the scene. The digest matches the in-memory upload, so this
 	// must be served from the result cache — the strongest possible
 	// equality statement — but the composite must also match byte-wise.
-	resp2, err := client.Post(srv.URL+"/v1/scenes/"+info.ID+"/fuse"+params, "", nil)
-	if err != nil {
-		t.Fatal(err)
+	resp = fuseScene(t, client, srv.URL, info.ID, options)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("fuse status %d", resp.StatusCode)
 	}
-	if resp2.StatusCode != http.StatusAccepted {
-		t.Fatalf("fuse status %d", resp2.StatusCode)
-	}
-	job := decodeJob(t, resp2)
+	job := decodeJob(t, resp)
 	if job.SceneID != info.ID {
 		t.Fatalf("job scene_id %q", job.SceneID)
 	}
@@ -176,19 +228,7 @@ func TestSceneHTTPEndToEnd(t *testing.T) {
 	}
 
 	// Fetch the mosaic and compare bytes with the in-memory composite.
-	imgResp, err := client.Get(srv.URL + "/v1/scenes/" + info.ID + "/result")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if imgResp.StatusCode != http.StatusOK || imgResp.Header.Get("Content-Type") != "image/png" {
-		t.Fatalf("result status %d type %s", imgResp.StatusCode, imgResp.Header.Get("Content-Type"))
-	}
-	gotPNG, err := io.ReadAll(imgResp.Body)
-	imgResp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(gotPNG, refPNG) {
+	if !bytes.Equal(sceneResultPNG(t, client, srv.URL, info.ID), refPNG) {
 		t.Fatal("scene mosaic differs from in-memory composite")
 	}
 }
@@ -209,25 +249,13 @@ func TestSceneHTTPStreamedComputation(t *testing.T) {
 
 	cube := testCube(t, 44)
 	hdr, data := enviPayload(t, cube, scene.BSQ)
-	resp := postScene(t, client, srv.URL+"/v1/scenes", hdr, data)
-	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("register status %d", resp.StatusCode)
-	}
-	var info SceneInfo
-	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
+	info := registerScene(t, client, srv.URL, hdr, data)
 	if info.Digest != "" {
 		t.Fatalf("digest computed with caching disabled: %s", info.Digest)
 	}
 
-	resp2, err := client.Post(srv.URL+"/v1/scenes/"+info.ID+"/fuse?threshold=0.05&granularity=5", "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	job := decodeJob(t, resp2)
-	job = pollJob(t, client, srv.URL, job.ID)
+	resp := fuseScene(t, client, srv.URL, info.ID, `{"threshold": 0.05, "granularity": 5}`)
+	job := pollJob(t, client, srv.URL, decodeJob(t, resp).ID)
 	if job.State != StateDone {
 		t.Fatalf("scene job failed: %s", job.Error)
 	}
@@ -252,20 +280,16 @@ func TestSceneHTTPStreamedComputation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scenePNG, err := pool.SceneResultPNG(info.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(scenePNG, refPNG) {
+	if !bytes.Equal(sceneResultPNG(t, client, srv.URL, info.ID), refPNG) {
 		t.Fatal("streamed scene composite differs from in-memory composite")
 	}
 }
 
 // TestSceneHTTPErrors covers the upload and fuse failure surfaces:
-// malformed headers, truncated/oversized payloads, size limits, unknown
-// scenes, and result-before-fuse.
+// malformed headers, truncated/oversized payloads, unknown scenes, bad
+// fuse options, and no composite before the first fuse.
 func TestSceneHTTPErrors(t *testing.T) {
-	pool, err := NewPool(Config{Workers: 1, MaxConcurrent: 1, MaxSceneBytes: 4096, SpoolDir: t.TempDir()})
+	pool, err := NewPool(Config{Workers: 1, MaxConcurrent: 1, SpoolDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,104 +297,49 @@ func TestSceneHTTPErrors(t *testing.T) {
 	srv := httptest.NewServer(pool.Handler())
 	defer srv.Close()
 	client := srv.Client()
-
-	cube := testCube(t, 55) // 24x24x8 float32 = 18432 bytes > MaxSceneBytes
-	hdr, data := enviPayload(t, cube, scene.BIP)
-
-	// Over the size limit → 413.
-	resp := postScene(t, client, srv.URL+"/v1/scenes", hdr, data)
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversized scene status %d", resp.StatusCode)
-	}
-	resp.Body.Close()
+	base := srv.URL + "/v2/scenes"
 
 	small := hsi.MustNewCube(8, 8, 4)
 	for i := range small.Data {
 		small.Data[i] = float32(i%97) - 48
 	}
-	hdr, data = enviPayload(t, small, scene.BIL)
+	hdr, data := enviPayload(t, small, scene.BIL)
 
-	// Truncated payload → 400.
-	resp = postScene(t, client, srv.URL+"/v1/scenes", hdr, data[:len(data)-5])
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("truncated payload status %d", resp.StatusCode)
-	}
-	resp.Body.Close()
+	// Truncated payload, oversized payload, malformed header.
+	wantEnvelope(t, postScene(t, client, base, hdr, data[:len(data)-5]), http.StatusBadRequest, CodeBadPayload)
+	wantEnvelope(t, postScene(t, client, base, hdr, append(append([]byte(nil), data...), 1, 2, 3)),
+		http.StatusBadRequest, CodeBadPayload)
+	wantEnvelope(t, postScene(t, client, base, "not an envi header", data), http.StatusBadRequest, CodeBadPayload)
 
-	// Oversized payload → 400.
-	resp = postScene(t, client, srv.URL+"/v1/scenes", hdr, append(append([]byte(nil), data...), 1, 2, 3))
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("oversized payload status %d", resp.StatusCode)
-	}
-	resp.Body.Close()
-
-	// Malformed header → 400.
-	resp = postScene(t, client, srv.URL+"/v1/scenes", "not an envi header", data)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad header status %d", resp.StatusCode)
-	}
-	resp.Body.Close()
-
-	// Non-multipart body → 400.
-	r2, err := client.Post(srv.URL+"/v1/scenes", "application/octet-stream", bytes.NewReader(data))
+	// Non-multipart body.
+	r, err := client.Post(base, "application/octet-stream", bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r2.StatusCode != http.StatusBadRequest {
-		t.Fatalf("non-multipart status %d", r2.StatusCode)
-	}
-	r2.Body.Close()
+	wantEnvelope(t, r, http.StatusBadRequest, CodeBadPayload)
 
-	// Unknown scene: fuse, info, result, delete → 404.
+	// Unknown scene: fuse, info, delete.
 	for _, req := range []*http.Request{
-		mustReq(t, http.MethodPost, srv.URL+"/v1/scenes/scene-99/fuse"),
-		mustReq(t, http.MethodGet, srv.URL+"/v1/scenes/scene-99"),
-		mustReq(t, http.MethodGet, srv.URL+"/v1/scenes/scene-99/result"),
-		mustReq(t, http.MethodDelete, srv.URL+"/v1/scenes/scene-99"),
+		mustReq(t, http.MethodPost, base+"/scene-99/fuse"),
+		mustReq(t, http.MethodGet, base+"/scene-99"),
+		mustReq(t, http.MethodDelete, base+"/scene-99"),
 	} {
 		r, err := client.Do(req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if r.StatusCode != http.StatusNotFound {
-			t.Fatalf("%s %s status %d", req.Method, req.URL.Path, r.StatusCode)
-		}
-		r.Body.Close()
+		wantEnvelope(t, r, http.StatusNotFound, CodeUnknownScene)
 	}
 
-	// Valid registration, then: result before any fuse → 404; bad fuse
-	// options → 400; delete → 204; fuse after delete → 404.
-	resp = postScene(t, client, srv.URL+"/v1/scenes", hdr, data)
-	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("register status %d", resp.StatusCode)
+	// Valid registration, then: no composite before any fuse; bad fuse
+	// options → bad_option; delete → 204; fuse after delete → 404.
+	info := registerScene(t, client, srv.URL, hdr, data)
+	if info.LastDoneJob != "" {
+		t.Fatalf("fresh scene names a completed fusion: %+v", info)
 	}
-	var info SceneInfo
-	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
+	wantEnvelope(t, fuseScene(t, client, srv.URL, info.ID, `{"threshold": 9}`), http.StatusBadRequest, CodeBadOption)
 
-	r3, _ := client.Get(srv.URL + "/v1/scenes/" + info.ID + "/result")
-	if r3.StatusCode != http.StatusNotFound {
-		t.Fatalf("result before fuse status %d", r3.StatusCode)
-	}
-	r3.Body.Close()
-
-	r4, _ := client.Post(srv.URL+"/v1/scenes/"+info.ID+"/fuse?threshold=9", "", nil)
-	if r4.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad threshold status %d", r4.StatusCode)
-	}
-	r4.Body.Close()
-
-	// Unknown option key (typo) → 400, same contract as /v1/jobs.
-	r4b, _ := client.Post(srv.URL+"/v1/scenes/"+info.ID+"/fuse?granularty=8", "", nil)
-	if r4b.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown fuse option status %d", r4b.StatusCode)
-	}
-	r4b.Body.Close()
-
-	del := mustReq(t, http.MethodDelete, srv.URL+"/v1/scenes/"+info.ID)
-	r5, err := client.Do(del)
+	r5, err := client.Do(mustReq(t, http.MethodDelete, base+"/"+info.ID))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,11 +347,7 @@ func TestSceneHTTPErrors(t *testing.T) {
 		t.Fatalf("delete status %d", r5.StatusCode)
 	}
 	r5.Body.Close()
-	r6, _ := client.Post(srv.URL+"/v1/scenes/"+info.ID+"/fuse", "", nil)
-	if r6.StatusCode != http.StatusNotFound {
-		t.Fatalf("fuse after delete status %d", r6.StatusCode)
-	}
-	r6.Body.Close()
+	wantEnvelope(t, fuseScene(t, client, srv.URL, info.ID, ""), http.StatusNotFound, CodeUnknownScene)
 }
 
 func mustReq(t *testing.T, method, url string) *http.Request {

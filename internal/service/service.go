@@ -9,14 +9,13 @@
 // and answers repeated scenes from a content-addressed result cache keyed
 // by cube digest + canonicalized options.
 //
-// cmd/fusiond exposes the pool over HTTP (POST /v1/jobs, GET
-// /v1/jobs/{id}, GET /v1/stats); examples/service drives it end to end.
+// cmd/fusiond exposes the pool over HTTP (Pool.Handler, the /v2 API);
+// examples/service drives it end to end.
 package service
 
 import (
 	"bytes"
 	"context"
-	"encoding/base64"
 	"errors"
 	"fmt"
 	"image/png"
@@ -168,7 +167,7 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Stats is a point-in-time view of the pool for GET /v1/stats.
+// Stats is a point-in-time view of the pool for GET /v2/stats.
 type Stats struct {
 	Workers     int   `json:"workers"`
 	QueueDepth  int   `json:"queue_depth"` // jobs waiting
@@ -658,35 +657,6 @@ func (b *pngBufferPool) Get() *png.EncoderBuffer {
 
 func (b *pngBufferPool) Put(eb *png.EncoderBuffer) { b.p.Put(eb) }
 
-// ImagePNGBase64 is ImagePNG pre-encoded for JSON transport, memoized so
-// polling clients do not pay a fresh base64 pass per request.
-func (p *Pool) ImagePNGBase64(id string) (string, error) {
-	data, err := p.ImagePNG(id)
-	if err != nil {
-		return "", err
-	}
-	p.mu.Lock()
-	job := p.jobs[id]
-	p.mu.Unlock()
-	if job == nil {
-		// Evicted between calls; encode without memoizing.
-		return base64.StdEncoding.EncodeToString(data), nil
-	}
-	job.pngMu.Lock()
-	defer job.pngMu.Unlock()
-	if job.pngB64 != "" {
-		return job.pngB64, nil
-	}
-	b64 := base64.StdEncoding.EncodeToString(data)
-	// Memoize only while the PNG memo survives: if finish() stripped the
-	// job between the ImagePNG call above and here, storing the base64
-	// would re-pin the composite the retention window just released.
-	if job.png != nil {
-		job.pngB64 = b64
-	}
-	return b64, nil
-}
-
 // Stats reports the pool's counters, read from the same telemetry
 // registry the Prometheus exposition serves.
 func (p *Pool) Stats() Stats {
@@ -956,7 +926,6 @@ func (p *Pool) finish(job *Job, res *core.Result, err error, fromCache bool) {
 		// would invert the lock order.
 		strip.pngMu.Lock()
 		strip.png = nil
-		strip.pngB64 = ""
 		strip.pngMu.Unlock()
 	}
 }
