@@ -1,7 +1,7 @@
 // fusiond serves the resilient fusion pipeline as a long-running,
-// multi-job HTTP service: one persistent worker pool handles many
-// concurrent cubes, with admission control and a content-addressed result
-// cache (see internal/service).
+// multi-job HTTP service: one long-lived pool runs many concurrent jobs,
+// each decomposed over -workers workers of its own, with admission
+// control and a content-addressed result cache (see internal/service).
 //
 //	go run ./cmd/fusiond -addr :8080 -workers 8 -concurrency 4
 //
@@ -72,7 +72,7 @@ import (
 func main() {
 	addr := flag.String("addr", ":8080", "HTTP listen address")
 	opsAddr := flag.String("ops-addr", "", "operations listener (pprof + /metrics) address; empty disables")
-	workers := flag.Int("workers", linalg.MaxWorkers(), "persistent fusion workers in the pool")
+	workers := flag.Int("workers", linalg.MaxWorkers(), "workers each job is decomposed over")
 	concurrency := flag.Int("concurrency", 0, "jobs running at once (0: workers/2, min 1)")
 	queue := flag.Int("queue", 64, "queued jobs beyond the running ones")
 	cacheEntries := flag.Int("cache", 128, "result cache capacity (negative disables)")

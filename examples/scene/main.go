@@ -2,7 +2,7 @@
 // through the typed fusionclient SDK. A synthetic HYDICE-like scene is
 // written to disk as an ENVI BIL raster, uploaded with a streaming
 // multipart request (the payload spools to disk, never to memory), fused
-// tile-by-tile over the pooled workers, and the mosaic fetched back as
+// tile-by-tile over the job's workers, and the mosaic fetched back as
 // PNG — all with a single long-poll wait instead of a status-poll loop.
 // The same cube is then submitted through the in-memory path to show the
 // two produce byte-identical composites, and that the second submission

@@ -22,8 +22,8 @@ func main() {
 	log.SetFlags(0)
 	ctx := context.Background()
 
-	// 1. One long-lived pool: 4 workers shared by every job, up to 4
-	//    jobs in flight, the rest queued (admission-controlled).
+	// 1. One long-lived pool: every job decomposed over 4 workers, up to
+	//    4 jobs in flight, the rest queued (admission-controlled).
 	pool, err := service.NewPool(service.Config{Workers: 4, MaxConcurrent: 4, QueueDepth: 32})
 	if err != nil {
 		log.Fatal(err)
@@ -32,7 +32,7 @@ func main() {
 	srv := httptest.NewServer(pool.Handler())
 	defer srv.Close()
 	client := fusionclient.New(srv.URL, fusionclient.WithHTTPClient(srv.Client()))
-	fmt.Printf("fusion service on %s: 4 pooled workers, 4 concurrent jobs\n\n", srv.URL)
+	fmt.Printf("fusion service on %s: 4 workers per job, 4 concurrent jobs\n\n", srv.URL)
 
 	opts := &fusionclient.Options{Threshold: fusionclient.Float(0.05)}
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"resilientfusion/internal/fuse"
 	"resilientfusion/internal/perfmodel"
@@ -12,15 +13,16 @@ import (
 	"resilientfusion/internal/scplib"
 )
 
-// Cluster job support: the same 8-step fusion protocol as NewJobSource,
-// but with worker replicas spawned into remote fusionworkerd processes
-// over a scplib.ClusterSystem. The manager and guardian stay on the
-// coordinator (node 0); worker groups ship as RemoteBody specs whose
-// inner kind is WorkerBodyKind. Because WorkerState is a deterministic
-// function of its message stream and the per-replica kernels reduce
-// over fixed shard grids, a cluster run's mosaic is bit-identical to
-// the in-process pool's for the same Options — the property the chaos
-// test asserts under SIGKILL.
+// Jobs on a long-lived system: the same 8-step fusion protocol as
+// NewJobSource, started on a system that is already running and shared
+// with other jobs. On a scplib.ClusterSystem the worker replicas spawn
+// into remote fusionworkerd processes (the manager and guardian stay on
+// the coordinator, node 0; worker groups ship as RemoteBody specs whose
+// inner kind is WorkerBodyKind); on a plain RealSystem every thread is a
+// local goroutine. Because workerState is a deterministic function of
+// its message stream and the per-replica kernels reduce over fixed shard
+// grids, the mosaic is bit-identical either way for the same Options —
+// the property the chaos test asserts under SIGKILL.
 
 // WorkerBodyKind names the fusion worker loop in worker-side registries.
 const WorkerBodyKind = "core.worker"
@@ -71,21 +73,44 @@ func RegisterWorkerBodies(reg *resilient.BodyRegistry) {
 	})
 }
 
-// RunningJob is a fusion job started on a long-lived cluster system.
-// Unlike Job (whose caller drives sys.Run for a dedicated system), a
-// RunningJob's threads execute immediately on the already-running
-// system; Wait blocks for the manager protocol to finish.
+// RunningJob is a fusion job started on a long-lived system. Unlike Job
+// (whose caller drives sys.Run for a dedicated system), a RunningJob's
+// threads execute immediately on the already-running system; Wait blocks
+// for the manager protocol to finish.
 type RunningJob struct {
 	rt   *resilient.Runtime
 	res  *Result
 	done chan struct{}
-	err  error
+
+	mu  sync.Mutex
+	err error // the job's first failure
 }
 
-// StartJob wires a fusion job onto a running cluster system, placing
-// worker replicas on worker nodes 1..opts.Workers and the manager plus
-// guardian locally. base offsets every physical thread ID the job's
-// runtime allocates, so concurrent jobs on one system cannot collide.
+// fail records err unless the job already failed.
+func (j *RunningJob) fail(err error) {
+	j.mu.Lock()
+	if j.err == nil {
+		j.err = err
+	}
+	j.mu.Unlock()
+}
+
+// StartJob wires a fusion job onto a running system, placing worker
+// replicas on worker nodes 1..opts.Workers and the manager plus guardian
+// locally. base offsets every physical thread ID the job's runtime
+// allocates, so concurrent jobs on one system cannot collide.
+//
+// Workers are monitored groups whenever the runtime can act on a
+// detection: at replication above 1, or with regeneration on. At
+// replication 1 without regeneration — the paper's "no resiliency"
+// series, which the service runs in process — they are unmonitored
+// singletons, as in NewJobSource: there a detection could only kill a
+// worker that is busy in a long kernel.
+//
+// Every failure ends the job through Wait, never as a system error: a
+// manager error or panic, and the error or panic of a worker running in
+// this process, which also stops the manager at once instead of leaving
+// it to wait out RequestTimeout.
 //
 // Spawn order matters on a live system: workers are added before the
 // manager so that by the time the manager's first screening request is
@@ -129,34 +154,45 @@ func StartJob(sys scplib.System, src CubeSource, opts Options, base scplib.Threa
 		return nil, err
 	}
 	rt.SetTrace(opts.Trace)
+	job := &RunningJob{rt: rt, res: &Result{}, done: make(chan struct{})}
 	args := encodeWorkerArgs(ManagerID, opts.Threshold, opts.Parallelism, alg.ID)
+	monitored := opts.Replication > 1 || opts.Regenerate
 	for w := 1; w <= opts.Workers; w++ {
-		placements := make([]int, opts.Replication)
-		for k := 0; k < opts.Replication; k++ {
-			placements[k] = 1 + (w-1+k)%opts.Workers
+		lid := resilient.LogicalID(w)
+		name := fmt.Sprintf("worker%d", w)
+		inner := workerBody(ManagerID, opts.Algorithm, opts.Threshold, opts.Parallelism, opts.Cost)
+		body := func(env resilient.REnv) error {
+			err := recovered("worker", func() error { return inner(env) })
+			if err == nil || errors.Is(err, resilient.ErrKilled) {
+				return err
+			}
+			job.fail(fmt.Errorf("%s: %w", name, err))
+			rt.KillReplica(ManagerID, 0)
+			return nil
 		}
-		body := workerBody(ManagerID, opts.Algorithm, opts.Threshold, opts.Parallelism, opts.Cost)
-		// Always a (possibly single-member) monitored group: cluster
-		// workers are regenerable even at replication 1, unlike the
-		// in-process baseline's unmonitored singletons.
-		if err := rt.AddGroupRemote(resilient.LogicalID(w), fmt.Sprintf("worker%d", w),
-			placements, body, WorkerBodyKind, args); err != nil {
+		if monitored {
+			placements := make([]int, opts.Replication)
+			for k := 0; k < opts.Replication; k++ {
+				placements[k] = 1 + (w-1+k)%opts.Workers
+			}
+			err = rt.AddGroupRemote(lid, name, placements, body, WorkerBodyKind, args)
+		} else {
+			err = rt.AddSingletonRemote(lid, name, w, body, WorkerBodyKind, args)
+		}
+		if err != nil {
 			return nil, err
 		}
 	}
 
-	job := &RunningJob{rt: rt, res: &Result{}, done: make(chan struct{})}
 	mgr := func(env resilient.REnv) error {
 		defer close(job.done)
 		defer rt.Shutdown()
-		if err := RunManagerSource(env, src, opts, job.res); err != nil {
-			// Captured for Wait, not returned: the shared system stays
-			// clean of per-job application errors.
-			job.err = err
-			return nil
+		err := recovered("manager", func() error { return runManager(env, src, opts, job.res) })
+		if err == nil && !job.res.completed {
+			err = errors.New("core: fusion did not complete")
 		}
-		if !job.res.completed {
-			job.err = errors.New("core: fusion did not complete")
+		if err != nil {
+			job.fail(err)
 		}
 		return nil
 	}
@@ -176,14 +212,24 @@ func StartJob(sys scplib.System, src CubeSource, opts Options, base scplib.Threa
 // stats, transport liveness hooks).
 func (j *RunningJob) Runtime() *resilient.Runtime { return j.rt }
 
-// Done is closed when the manager protocol has finished (or failed).
-func (j *RunningJob) Done() <-chan struct{} { return j.done }
-
 // Wait blocks for completion and returns the fusion result.
 func (j *RunningJob) Wait() (*Result, error) {
 	<-j.done
+	j.mu.Lock()
+	defer j.mu.Unlock()
 	if j.err != nil {
 		return nil, j.err
 	}
 	return j.res, nil
+}
+
+// recovered runs f, turning a panic into an error: the system's thread
+// wrapper would otherwise record it out of the job's sight.
+func recovered(who string, f func() error) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("core: %s panic: %v", who, r)
+		}
+	}()
+	return f()
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -287,6 +289,98 @@ func TestClusterJobsShareSystem(t *testing.T) {
 	}
 	if !imagesEqual(ra.Image, seq.Image) || !imagesEqual(rb.Image, seq.Image) {
 		t.Fatal("concurrent cluster jobs corrupted each other")
+	}
+}
+
+// startLocal returns a running plain RealSystem — the service's
+// in-process system — torn down at test cleanup.
+func startLocal(t *testing.T) *scplib.RealSystem {
+	t.Helper()
+	sys := scplib.NewRealSystem()
+	sys.Start()
+	t.Cleanup(func() {
+		sys.Stop()
+		sys.Wait()
+	})
+	return sys
+}
+
+// TestStartJobUnreplicatedIsUnmonitored runs StartJob as the service
+// runs every in-process job — on a shared RealSystem at replication 1
+// without regeneration — for every algorithm. There a detection could
+// only kill a worker, so workers are not monitored: a failure detector
+// tuned far below any kernel's run time must leave the job alone.
+func TestStartJobUnreplicatedIsUnmonitored(t *testing.T) {
+	cube := testScene(t)
+	sys := startLocal(t)
+	for i, alg := range fuse.Names() {
+		opts := Options{Workers: 2, Algorithm: alg,
+			HeartbeatPeriod: 1e-6, FailTimeout: 1e-6, RequestTimeout: 0.5, MaxReissues: 1}
+		seq, err := Sequential(cube, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A range of its own: the previous job's threads may still drain.
+		job, err := StartJob(sys, MemSource(cube), opts, scplib.ThreadID(i+1)<<20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := job.Wait()
+		if err != nil {
+			t.Fatalf("%s: %v", alg, err)
+		}
+		if !imagesEqual(res.Image, seq.Image) {
+			t.Fatalf("%s: composite differs from sequential", alg)
+		}
+		if st := job.Runtime().Stats(); st.Detections != 0 {
+			t.Fatalf("%s: unmonitored workers saw %d detections", alg, st.Detections)
+		}
+	}
+}
+
+// panicSource panics on every tile request.
+type panicSource struct{ CubeSource }
+
+func (panicSource) Tile(hsi.RowRange) (*hsi.Cube, error) { panic("tile source exploded") }
+
+// TestStartJobManagerPanicFails: a manager that panics mid-protocol must
+// fail the job. Reporting the half-filled Result as success would let a
+// caller cache a mosaic that was never computed.
+func TestStartJobManagerPanicFails(t *testing.T) {
+	job, err := StartJob(startLocal(t), panicSource{MemSource(testScene(t))}, Options{Workers: 2}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := job.Wait()
+	if err == nil {
+		t.Fatalf("panicking manager reported success: %+v", res)
+	}
+	if res != nil || !strings.Contains(err.Error(), "tile source exploded") {
+		t.Fatalf("Wait = %v, %v; want no result and the panic", res, err)
+	}
+}
+
+// TestStartJobWorkerErrorFailsFast: a worker whose kernel fails ends the
+// job at once with the worker's error, instead of leaving the manager to
+// wait out RequestTimeout for a reply that never comes.
+func TestStartJobWorkerErrorFailsFast(t *testing.T) {
+	// StartJob leaves the threshold to the screen kernel, which rejects a
+	// negative one on every worker's first request.
+	opts := Options{Workers: 2, Threshold: -1, RequestTimeout: 60}
+	job, err := StartJob(startLocal(t), MemSource(testScene(t)), opts, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t0 := time.Now()
+	_, err = job.Wait()
+	if err == nil || !strings.Contains(err.Error(), "worker") {
+		t.Fatalf("Wait error %v, want the worker's failure", err)
+	}
+	if errors.Is(err, resilient.ErrKilled) {
+		t.Fatalf("Wait reported the manager's kill, not its cause: %v", err)
+	}
+	if d := time.Since(t0); d > 15*time.Second {
+		t.Fatalf("worker failure took %v to end the job", d)
 	}
 }
 

@@ -85,7 +85,9 @@ func TestTileCopyBudget(t *testing.T) {
 }
 
 // TestFusionCopyBudget runs whole fusions on the real runtime and bounds
-// everything they allocate, in units of the cube's encoded size C. Each
+// everything they allocate, in units of the cube's encoded size C — as a
+// one-shot Fuse, and as the service runs every in-process job: StartJob
+// at replication 1 on a live, shared RealSystem. Each
 // tile is legitimately materialized four times — extracted from the
 // source (1 C in total), framed (1 C), decoded to float32 by the worker
 // (1 C per replica) and, for pct, staged to float64 for the kernels (2 C
@@ -97,18 +99,35 @@ func TestTileCopyBudget(t *testing.T) {
 func TestFusionCopyBudget(t *testing.T) {
 	cube := budgetScene(t)
 	c := float64(cube.EncodedSize())
+	live := scplib.NewRealSystem()
+	live.Start()
+	defer func() {
+		live.Stop()
+		live.Wait()
+	}()
 	for _, tc := range []struct {
 		name   string
 		opts   Options
+		live   bool    // StartJob on the live system instead of Fuse
 		budget float64 // in C
 	}{
-		{"pct", Options{Workers: 2, Granularity: 2, Parallelism: 1}, 6},
+		{"pct", Options{Workers: 2, Granularity: 2, Parallelism: 1}, false, 6},
 		{"pct/replicated", Options{Workers: 2, Granularity: 2, Parallelism: 1,
-			Replication: 2, HeartbeatPeriod: 0.05, FailTimeout: 1}, 9.25},
-		{"dwt", Options{Workers: 2, Granularity: 2, Parallelism: 1, Algorithm: "dwt"}, 6},
+			Replication: 2, HeartbeatPeriod: 0.05, FailTimeout: 1}, false, 9.25},
+		{"dwt", Options{Workers: 2, Granularity: 2, Parallelism: 1, Algorithm: "dwt"}, false, 6},
+		{"pct/started", Options{Workers: 2, Granularity: 2, Parallelism: 1}, true, 6},
 	} {
 		got := float64(allocatedBytes(func() {
-			if _, err := Fuse(scplib.NewRealSystem(), cube, tc.opts); err != nil {
+			var err error
+			if tc.live {
+				var job *RunningJob
+				if job, err = StartJob(live, MemSource(cube), tc.opts, 1<<20); err == nil {
+					_, err = job.Wait()
+				}
+			} else {
+				_, err = Fuse(scplib.NewRealSystem(), cube, tc.opts)
+			}
+			if err != nil {
 				t.Fatal(err)
 			}
 		}))

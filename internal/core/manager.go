@@ -62,24 +62,18 @@ type Result struct {
 func managerBody(rt *resilient.Runtime, src CubeSource, opts Options, res *Result) resilient.RBody {
 	return func(env resilient.REnv) error {
 		defer rt.Shutdown()
-		return RunManagerSource(env, src, opts, res)
+		return runManager(env, src, opts, res)
 	}
 }
 
-// RunManager drives the 8-step fusion protocol from env against workers
-// with logical IDs 1..opts.Workers, filling res. It is the job-scoped run
-// path shared by the resilient job (NewJob) and the service pool, which
-// spawns one manager per job over long-lived pooled workers.
-func RunManager(env resilient.REnv, cube *hsi.Cube, opts Options, res *Result) error {
-	return RunManagerSource(env, MemSource(cube), opts, res)
-}
-
-// RunManagerSource is RunManager over an arbitrary tile source: the
-// decomposition is a function of the source's shape alone, and tiles are
-// pulled on demand, so a streamed scene run is bit-identical to the
-// in-memory run over the same samples while the manager's working set
-// stays bounded by the tiles in flight.
-func RunManagerSource(env resilient.REnv, src CubeSource, opts Options, res *Result) error {
+// runManager drives the 8-step fusion protocol from env against workers
+// with logical IDs 1..opts.Workers, filling res — the manager thread of
+// every job, dedicated (NewJobSource) or started on a shared system
+// (StartJob). The decomposition is a function of the source's shape
+// alone, and tiles are pulled on demand, so a streamed scene run is
+// bit-identical to the in-memory run over the same samples while the
+// manager's working set stays bounded by the tiles in flight.
+func runManager(env resilient.REnv, src CubeSource, opts Options, res *Result) error {
 	m := &manager{env: env, src: src, opts: opts.withDefaults(), res: res}
 	m.width, m.height, m.bands = src.Shape()
 	if err := m.run(); err != nil {

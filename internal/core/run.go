@@ -32,8 +32,8 @@ type Options struct {
 	// Threshold is the spectral-angle screening threshold (0 → default).
 	Threshold float64
 	// Parallelism is the per-worker kernel parallelism for the statistics
-	// and transform steps. 0 is automatic: distributed and pooled runs
-	// divide GOMAXPROCS across the concurrently computing workers
+	// and transform steps. 0 is automatic: distributed runs divide
+	// GOMAXPROCS across the concurrently computing workers
 	// (max(1, GOMAXPROCS/Workers) each) so kernels never oversubscribe
 	// the host, while the single-threaded Sequential oracle uses full
 	// GOMAXPROCS. Negative forces serial. It is a throughput knob only —
@@ -149,7 +149,7 @@ func (o Options) SubCubes(height int) int {
 	return n
 }
 
-// TileRanges returns the exact row decomposition RunManagerSource will
+// TileRanges returns the exact row decomposition the manager will
 // request from its CubeSource for a scene of the given height.
 func (o Options) TileRanges(height int) []hsi.RowRange {
 	return hsi.Partition(height, o.SubCubes(height))

@@ -21,7 +21,7 @@ func TestWithDefaultsPrefetch(t *testing.T) {
 		if got != c.want {
 			t.Errorf("withDefaults Prefetch=%d: got %d, want %d", c.in, got, c.want)
 		}
-		// Canonicalization must be idempotent: RunManager re-canonicalizes
+		// Canonicalization must be idempotent: the manager re-canonicalizes
 		// options that NewJob and the service pool already canonicalized,
 		// and "overlap disabled" must survive the second pass.
 		once := Options{Prefetch: c.in}.withDefaults()

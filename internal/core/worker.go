@@ -13,13 +13,13 @@ import (
 	"resilientfusion/internal/spectral"
 )
 
-// WorkerState holds the per-job state of a fusion worker: sub-cubes
-// cached from the screening phase (preserving the paper's locality — step
-// 7 reuses step 1's data placement) and memoized screen responses so
-// reissued requests are answered without re-screening. A run-to-completion
-// worker thread owns exactly one; the service pool's multiplexing workers
-// keep one per in-flight job.
-type WorkerState struct {
+// workerState holds a fusion worker's state for the one job the worker
+// serves: sub-cubes cached from the screening phase (preserving the
+// paper's locality — step 7 reuses step 1's data placement), memoized
+// screen responses so reissued requests are answered without
+// re-screening, and the covariance accumulator reused across the job's
+// requests.
+type workerState struct {
 	algorithm   string            // canonical registry name ("" behaves as "pct")
 	tile        fuse.FuseTileFunc // the algorithm's tile kernel; nil for pct
 	threshold   float64
@@ -27,41 +27,22 @@ type WorkerState struct {
 	cost        perfmodel.Model
 	cache       map[int]*hsi.SubCube
 	screened    map[int][]byte // encoded ScreenResp payload by sub-cube
-	scratch     *Scratch       // optional worker-lifetime buffers
-}
-
-// Scratch holds worker-lifetime kernel buffers that outlive individual
-// jobs. The screened-covariance micro-shape (K≈7 unique vectors over
-// 100+ bands) is allocation-floor-bound on its n×n sum matrix, so a
-// long-lived pooled worker plants one Scratch into every per-job
-// WorkerState it creates and the sum matrix is reused across jobs
-// (pct.CovarianceSumInto zeroes it per request). A Scratch belongs to
-// one worker thread: replies are fully encoded before Handle returns, so
-// nothing aliases the buffers between messages.
-type Scratch struct {
+	// cov is the n×n covariance sum, reallocated only when the band count
+	// changes: the screened-covariance micro-shape (K≈7 unique vectors
+	// over 100+ bands) is allocation-floor-bound on it. Replies are fully
+	// encoded before Handle returns, so nothing aliases it between
+	// messages.
 	cov *linalg.Matrix
 }
 
-// NewScratch returns empty worker-lifetime scratch.
-func NewScratch() *Scratch { return &Scratch{} }
-
-// covFor returns the reusable n×n covariance accumulator, reallocating
-// only when the band count changes.
-func (s *Scratch) covFor(n int) *linalg.Matrix {
-	if s.cov == nil || s.cov.Rows != n {
-		s.cov = linalg.NewMatrix(n, n)
-	}
-	return s.cov
-}
-
-// NewWorkerState returns empty per-job worker state for the named
-// fusion algorithm (registry name; "" behaves as "pct"). parallelism is
-// the kernel parallelism of the screening, statistics, transform and
+// newWorkerState returns empty worker state for the named fusion
+// algorithm (registry name; "" behaves as "pct"). parallelism is the
+// kernel parallelism of the screening, statistics, transform and
 // tile-fusion steps (0 selects GOMAXPROCS); it never changes the
 // computed bits, only the wall clock.
-func NewWorkerState(algorithm string, threshold float64, parallelism int, cost perfmodel.Model) *WorkerState {
+func newWorkerState(algorithm string, threshold float64, parallelism int, cost perfmodel.Model) *workerState {
 	alg, _ := fuse.Lookup(algorithm)
-	return &WorkerState{
+	return &workerState{
 		algorithm:   fuse.Canonical(algorithm),
 		tile:        alg.FuseTile,
 		threshold:   threshold,
@@ -72,9 +53,13 @@ func NewWorkerState(algorithm string, threshold float64, parallelism int, cost p
 	}
 }
 
-// UseScratch plants worker-lifetime buffers into this per-job state; the
-// caller promises the Scratch is owned by a single worker thread.
-func (ws *WorkerState) UseScratch(s *Scratch) { ws.scratch = s }
+// covFor returns the reusable n×n covariance accumulator.
+func (ws *workerState) covFor(n int) *linalg.Matrix {
+	if ws.cov == nil || ws.cov.Rows != n {
+		ws.cov = linalg.NewMatrix(n, n)
+	}
+	return ws.cov
+}
 
 // Handle processes one application message and returns the reply to send
 // to the manager, plus the modeled flops the caller must charge (via
@@ -84,10 +69,9 @@ func (ws *WorkerState) UseScratch(s *Scratch) { ws.scratch = s }
 // sub-cube it caches shares nothing with it. replyKind 0 means no reply
 // (unknown or stale kind). Handle is a deterministic function of the
 // message stream, which is what keeps replicated workers in lockstep (the
-// resilient layer's requirement). KindStop is the caller's business: a
-// dedicated worker thread returns, a pooled worker retires the job's
-// state.
-func (ws *WorkerState) Handle(kind uint16, payload []byte) (replyKind uint16, reply []byte, flops float64, err error) {
+// resilient layer's requirement). KindStop is the caller's business: the
+// worker thread returns.
+func (ws *workerState) Handle(kind uint16, payload []byte) (replyKind uint16, reply []byte, flops float64, err error) {
 	switch kind {
 	case KindScreenReq:
 		req, err := DecodeScreenReq(payload)
@@ -122,14 +106,9 @@ func (ws *WorkerState) Handle(kind uint16, payload []byte) (replyKind uint16, re
 			return 0, nil, 0, err
 		}
 		// Step 4: covariance partial sum over this part, accumulated into
-		// the worker-lifetime matrix when one is planted (the encode below
-		// copies it out before Handle returns, so reuse is safe).
-		var sum *linalg.Matrix
-		if ws.scratch != nil {
-			sum = ws.scratch.covFor(len(req.Mean))
-		} else {
-			sum = linalg.NewMatrix(len(req.Mean), len(req.Mean))
-		}
+		// the reused matrix (the encode below copies it out before Handle
+		// returns).
+		sum := ws.covFor(len(req.Mean))
 		if err := pct.CovarianceSumInto(sum, req.Vectors, req.Mean, ws.parallelism); err != nil {
 			return 0, nil, 0, err
 		}
@@ -184,13 +163,12 @@ func (ws *WorkerState) Handle(kind uint16, payload []byte) (replyKind uint16, re
 }
 
 // workerBody executes the worker side of the fusion protocol as a
-// dedicated resilient thread — the 8-step pct exchange or the
-// single-phase tile-kernel exchange, per the job's algorithm — with one
-// WorkerState for its lifetime, stopping on KindStop.
+// resilient thread that lives exactly one job — the 8-step pct exchange
+// or the single-phase tile-kernel exchange, per the job's algorithm —
+// stopping on KindStop.
 func workerBody(manager resilient.LogicalID, algorithm string, threshold float64, parallelism int, cost perfmodel.Model) resilient.RBody {
 	return func(env resilient.REnv) error {
-		ws := NewWorkerState(algorithm, threshold, parallelism, cost)
-		ws.UseScratch(NewScratch())
+		ws := newWorkerState(algorithm, threshold, parallelism, cost)
 		for {
 			m, err := env.Recv()
 			if err != nil {

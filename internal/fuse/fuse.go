@@ -29,9 +29,9 @@ import (
 	"resilientfusion/internal/hsi"
 )
 
-// ID is an algorithm's stable wire identifier, carried in the service
-// job envelope and the cluster worker args so pooled and remote workers
-// instantiate the same kernel the manager dispatches for. IDs are
+// ID is an algorithm's stable wire identifier, carried in the worker
+// args so a worker — local or in a remote process — instantiates the
+// same kernel the manager dispatches for. IDs are
 // append-only: reusing or renumbering one would let two deployments
 // disagree about what a job computes.
 type ID uint32

@@ -161,8 +161,8 @@ func TestCovarianceSumParityAcrossParallelism(t *testing.T) {
 }
 
 // CovarianceSumInto must zero and fill a dirty, reused destination to
-// the exact bits of a fresh CovarianceSum — the contract that lets
-// pooled workers keep one sum matrix across jobs.
+// the exact bits of a fresh CovarianceSum — the contract that lets a
+// worker keep one sum matrix across requests.
 func TestCovarianceSumIntoReuse(t *testing.T) {
 	dst := linalg.NewMatrix(9, 9)
 	for i := range dst.Data {

@@ -26,9 +26,8 @@ var ErrBadWire = errors.New("resilient: malformed wire payload")
 const rheaderBytes = 24
 
 // Headroom is the spare space a frame reserves in front of its payload
-// (see NewFrame): room for this layer's header, and for the 32-byte job
-// envelope the service pool's REnv stamps instead.
-const Headroom = 32
+// (see NewFrame): exactly this layer's application header.
+const Headroom = rheaderBytes
 
 // NewFrame returns an empty frame for REnv.SendFrame: Headroom reserved
 // bytes, then capacity for size payload bytes. The caller appends the

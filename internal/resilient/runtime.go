@@ -178,7 +178,17 @@ func (rt *Runtime) AddGroup(lid LogicalID, name string, placements []int, body R
 // (node 0) form, and kind/args name a registered inner body so replicas
 // placed on worker nodes can be reconstructed in the worker process.
 func (rt *Runtime) AddGroupRemote(lid LogicalID, name string, placements []int, body RBody, kind string, args []byte) error {
-	if err := rt.add(lid, name, placements, body, false); err != nil {
+	return rt.addRemote(lid, name, placements, body, false, kind, args)
+}
+
+// AddSingletonRemote is AddSingleton for cluster systems, shippable like
+// AddGroupRemote's replicas.
+func (rt *Runtime) AddSingletonRemote(lid LogicalID, name string, node int, body RBody, kind string, args []byte) error {
+	return rt.addRemote(lid, name, []int{node}, body, true, kind, args)
+}
+
+func (rt *Runtime) addRemote(lid LogicalID, name string, placements []int, body RBody, singleton bool, kind string, args []byte) error {
+	if err := rt.add(lid, name, placements, body, singleton); err != nil {
 		return err
 	}
 	rt.mu.Lock()

@@ -173,7 +173,7 @@ func (s *ClusterSystem) HasThreadsIn(lo, hi ThreadID) bool {
 		}
 	}
 	s.mu.Unlock()
-	return s.RealSystem.hasIn(lo, hi)
+	return s.RealSystem.HasThreadsIn(lo, hi)
 }
 
 // Close tears the transport down (idempotent): the listener stops, every

@@ -100,8 +100,9 @@ func (s *RealSystem) start(t *realThread) {
 			err = t.body(t)
 		}()
 		s.mu.Lock()
-		// Reap: long-lived systems (the service pool) spawn a manager
-		// thread per job, so finished threads must leave the table.
+		// Reap: long-lived systems (the service pool) spawn every job's
+		// threads into one system, so finished threads must leave the
+		// table.
 		// Post-finish sends then drop like sends to any unknown thread.
 		if s.threads[t.id] == t {
 			delete(s.threads, t.id)
@@ -187,8 +188,11 @@ func (s *RealSystem) has(id ThreadID) bool {
 	return ok
 }
 
-// hasIn reports whether any registered local thread has an ID in [lo, hi).
-func (s *RealSystem) hasIn(lo, hi ThreadID) bool {
+// HasThreadsIn reports whether any registered thread has an ID in
+// [lo, hi): one whose body has not returned yet. Killing a thread is
+// asynchronous, so an ID range only becomes reusable once this turns
+// false.
+func (s *RealSystem) HasThreadsIn(lo, hi ThreadID) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for id := range s.threads {

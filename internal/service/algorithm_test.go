@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"resilientfusion/internal/core"
+	"resilientfusion/internal/hsi"
 	"resilientfusion/internal/scene"
 )
 
@@ -233,4 +234,61 @@ func TestV2AlgorithmOption(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantEnvelope(t, r, http.StatusBadRequest, CodeBadOption)
+}
+
+// TestPCTNeedsComponentBands: pct keeps Components principal components,
+// so a cube with fewer bands than that can never fuse. Both submission
+// routes reject it synchronously as bad_option instead of accepting a
+// job that fails after holding a queue slot; the tile algorithms fuse
+// any band count and keep accepting such cubes.
+func TestPCTNeedsComponentBands(t *testing.T) {
+	pool, err := NewPool(Config{Workers: 2, MaxConcurrent: 2, SpoolDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	srv := httptest.NewServer(pool.Handler())
+	defer srv.Close()
+	client := srv.Client()
+
+	for _, tc := range []struct {
+		bands   int
+		options string
+		reject  bool
+	}{
+		{1, `{"algorithm": "pct"}`, true},
+		{2, `{}`, true},
+		{3, `{"algorithm": "pct", "components": 4}`, true},
+		{3, `{"algorithm": "pct"}`, false},
+		{4, `{"components": 4}`, false},
+		{1, `{"algorithm": "pyramid"}`, false},
+		{2, `{"algorithm": "pyramid"}`, false},
+		{1, `{"algorithm": "dwt"}`, false},
+		{2, `{"algorithm": "dwt"}`, false},
+	} {
+		cube := hsi.MustNewCube(16, 16, tc.bands)
+		for i := range cube.Data {
+			cube.Data[i] = float32((i*7919)%251) + 1
+		}
+		hdr, data := enviPayload(t, cube, scene.BIL)
+		info := registerScene(t, client, srv.URL, hdr, data)
+		for _, route := range []string{"jobs", "scene"} {
+			var resp *http.Response
+			if route == "jobs" {
+				resp = postCubeV2(t, client, srv.URL+"/v2/jobs", cube, tc.options)
+			} else {
+				resp = fuseScene(t, client, srv.URL, info.ID, tc.options)
+			}
+			if tc.reject {
+				wantEnvelope(t, resp, http.StatusBadRequest, CodeBadOption)
+				continue
+			}
+			if resp.StatusCode != http.StatusAccepted {
+				t.Fatalf("%d bands %s via %s: status %d", tc.bands, tc.options, route, resp.StatusCode)
+			}
+			if job := pollJob(t, client, srv.URL, decodeJob(t, resp).ID); job.State != StateDone {
+				t.Fatalf("%d bands %s via %s: state %s (error %q)", tc.bands, tc.options, route, job.State, job.Error)
+			}
+		}
+	}
 }

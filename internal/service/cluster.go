@@ -1,12 +1,10 @@
 package service
 
 import (
-	"slices"
 	"sync"
 
 	"resilientfusion/internal/core"
 	"resilientfusion/internal/resilient"
-	"resilientfusion/internal/scene"
 	"resilientfusion/internal/scplib"
 	"resilientfusion/internal/telemetry"
 )
@@ -17,7 +15,8 @@ import (
 // resilient runtime's guardian regenerating replicas lost to killed
 // workers. Jobs degrade gracefully: below quorum (fewer connected
 // workers than configured) or on any cluster-side failure, the job
-// falls back to the in-process pool, whose mosaic is bit-identical.
+// re-runs in process — the same core.StartJob at replication 1 on the
+// pool's own system, so its mosaic is bit-identical.
 
 // ClusterConfig tunes cluster mode. The zero value (and a nil
 // Config.Cluster) disables it.
@@ -77,8 +76,8 @@ type ClusterStats struct {
 	Workers     int `json:"workers"`
 	LiveWorkers int `json:"live_workers"`
 	Replication int `json:"replication"`
-	// Jobs completed over the cluster; Fallbacks ran on the in-process
-	// pool instead (below quorum or after a cluster-side failure).
+	// Jobs completed over the cluster; Fallbacks ran in process instead
+	// (below quorum or after a cluster-side failure).
 	Jobs      int64 `json:"jobs"`
 	Fallbacks int64 `json:"fallbacks"`
 	// Aggregated resilient.Stats across all cluster jobs.
@@ -94,6 +93,7 @@ type ClusterStats struct {
 type clusterState struct {
 	cfg  ClusterConfig
 	sys  *scplib.ClusterSystem
+	ids  *physIDs
 	addr string
 
 	jobs          *telemetry.Counter
@@ -102,24 +102,9 @@ type clusterState struct {
 	regenerations *telemetry.Counter
 	viewChanges   *telemetry.Counter
 
-	mu        sync.Mutex
-	rts       []*resilient.Runtime // running cluster jobs' runtimes
-	nextBase  scplib.ThreadID
-	freeBases []scplib.ThreadID            // finished jobs' bases, reused FIFO
-	inUse     map[scplib.ThreadID]struct{} // bases of running jobs
+	mu  sync.Mutex
+	rts []*resilient.Runtime // running cluster jobs' runtimes
 }
-
-// clusterPhysBase0 starts job phys IDs far above any coordinator-local
-// IDs; clusterPhysStride gives each job room for its guardian, replicas,
-// regenerations, and couriers. Bases stay below clusterPhysMax: courier
-// IDs mirror downward from 1<<30, so capping replica ranges at 1<<29
-// keeps the two ID spaces disjoint no matter how many jobs have run, and
-// the int32 ThreadID never overflows.
-const (
-	clusterPhysBase0  = scplib.ThreadID(1 << 20)
-	clusterPhysStride = scplib.ThreadID(1 << 16)
-	clusterPhysMax    = scplib.ThreadID(1 << 29)
-)
 
 // newClusterState opens the coordinator listener and wires its transport
 // liveness hooks to fan out to every running cluster job. The system
@@ -136,19 +121,18 @@ func newClusterState(cfg ClusterConfig, logf func(format string, args ...any), r
 	sys.Metrics = scplib.NewClusterMetrics(reg)
 	cl := &clusterState{
 		cfg: cfg, sys: sys,
+		ids:  newPhysIDs(sys),
 		addr: sys.Addr(),
 		jobs: reg.Counter("fusion_cluster_jobs_total",
 			"Jobs completed over the fusionworkerd fleet."),
 		fallbacks: reg.Counter("fusion_cluster_fallbacks_total",
-			"Jobs degraded to the in-process pool (below quorum or cluster failure)."),
+			"Jobs re-run in process (below quorum or cluster failure)."),
 		detections: reg.Counter("fusion_cluster_detections_total",
 			"Replica failures detected by cluster jobs' guardians."),
 		regenerations: reg.Counter("fusion_cluster_regenerations_total",
 			"Replacement replicas regenerated by cluster jobs' guardians."),
 		viewChanges: reg.Counter("fusion_cluster_view_changes_total",
 			"View reconfigurations broadcast by cluster jobs' guardians."),
-		nextBase: clusterPhysBase0,
-		inUse:    make(map[scplib.ThreadID]struct{}),
 	}
 	reg.GaugeFunc("fusion_cluster_live_workers",
 		"fusionworkerd processes connected right now.", func() int64 {
@@ -193,52 +177,6 @@ func (cl *clusterState) unregister(rt *resilient.Runtime) {
 			cl.rts = append(cl.rts[:i], cl.rts[i+1:]...)
 			break
 		}
-	}
-	cl.mu.Unlock()
-}
-
-// allocBase hands each job a physical thread ID range disjoint from
-// every other running job's on the shared cluster system. Finished
-// jobs' bases are reused oldest-first, so a long-lived daemon's ID space
-// stays bounded — but only once the finished job's threads are gone: the
-// manager returns while its own thread, the guardian and the killed
-// replicas are still being reaped (a slower replica may be mid-kernel),
-// and spawning into their IDs fails with a duplicate thread id. A base
-// whose range still has stragglers is passed over in favour of a fresh
-// one; if fresh allocation ever reaches clusterPhysMax it wraps, skipping
-// bases still in use or waiting on the free list.
-func (cl *clusterState) allocBase() scplib.ThreadID {
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	for i, base := range cl.freeBases {
-		if !cl.sys.HasThreadsIn(base, base+clusterPhysStride) {
-			cl.freeBases = append(cl.freeBases[:i], cl.freeBases[i+1:]...)
-			cl.inUse[base] = struct{}{}
-			return base
-		}
-	}
-	// The scan terminates unless every base in [base0, max) is held by a
-	// running or still-draining job — ~8k of them, far beyond what the
-	// pool admits.
-	for {
-		if cl.nextBase+clusterPhysStride > clusterPhysMax {
-			cl.nextBase = clusterPhysBase0
-		}
-		base := cl.nextBase
-		cl.nextBase += clusterPhysStride
-		if _, busy := cl.inUse[base]; !busy && !slices.Contains(cl.freeBases, base) {
-			cl.inUse[base] = struct{}{}
-			return base
-		}
-	}
-}
-
-// releaseBase returns a finished job's base to the free list.
-func (cl *clusterState) releaseBase(base scplib.ThreadID) {
-	cl.mu.Lock()
-	if _, busy := cl.inUse[base]; busy {
-		delete(cl.inUse, base)
-		cl.freeBases = append(cl.freeBases, base)
 	}
 	cl.mu.Unlock()
 }
@@ -288,74 +226,44 @@ func (cl *clusterState) clusterOptions(opts core.Options) core.Options {
 }
 
 // runJobCluster tries to run one job over the connected fusionworkerd
-// fleet. It reports whether the job reached a terminal state here; false
-// means the caller should run it on the in-process pool instead (below
-// quorum, spawn failure, or a mid-run cluster failure the guardian could
-// not absorb).
-func (p *Pool) runJobCluster(job *Job) bool {
+// fleet. ok false means the caller should re-run it in process instead:
+// below quorum, spawn failure, or a mid-run cluster failure the guardian
+// could not absorb. Every such degradation is counted.
+func (p *Pool) runJobCluster(job *Job, src core.CubeSource, opts core.Options) (*core.Result, bool) {
 	cl := p.cluster
 	if live := cl.sys.LiveWorkers(); live < cl.cfg.Workers {
-		p.logf("cluster: %d/%d workers live — job %s degrades to in-process pool",
+		p.logf("cluster: %d/%d workers live — job %s degrades to an in-process run",
 			live, cl.cfg.Workers, job.id)
 		cl.fallback()
-		return false
+		return nil, false
 	}
-	opts := cl.clusterOptions(job.opts)
-	// Trace rides in this copy only; job.opts and its ResultKey stay
-	// trace-free (see runJob).
-	opts.Trace = job.trace
-
-	var src core.CubeSource
-	if job.sceneID != "" {
-		rdr, err := scene.NewReaderFrom(job.sceneHdr, job.sceneFile)
-		if err != nil {
-			// Not a cluster failure: the spool is unreadable, and the
-			// fallback path would fail the same way.
-			p.finish(job, nil, err, false)
-			return true
+	var rt *resilient.Runtime
+	res, err := runOn(cl.sys, cl.ids, src, cl.clusterOptions(opts), func(rj *core.RunningJob) {
+		rt = rj.Runtime()
+		cl.register(rt)
+		// Close the registration gap: a worker that died while StartJob
+		// was spawning fired OnNodeDown before this runtime existed. Seed
+		// the runtime with the fleet's current liveness so such losses
+		// expire at the guardian's next poll instead of waiting out
+		// FailTimeout.
+		live := make(map[int]bool, cl.cfg.Workers)
+		for _, n := range cl.sys.LiveNodes() {
+			live[n] = true
 		}
-		tiler := scene.NewPrefetchTiler(scene.NewTiler(rdr), opts.TileRanges(job.sceneHdr.Lines))
-		tiler.OnRead = p.metrics.sceneTileRead
-		defer tiler.Drain()
-		src = &sceneSource{tiler: tiler, job: job}
-	} else {
-		src = core.MemSource(job.cube)
-	}
-
-	base := cl.allocBase()
-	defer cl.releaseBase(base)
-	rj, err := core.StartJob(cl.sys, src, opts, base)
-	if err != nil {
-		p.logf("cluster: job %s failed to start (%v) — degrading to in-process pool", job.id, err)
-		cl.fallback()
-		return false
-	}
-	rt := rj.Runtime()
-	cl.register(rt)
-	// Close the registration gap: a worker that died while StartJob was
-	// spawning fired OnNodeDown before this runtime existed. Seed the
-	// runtime with the fleet's current liveness so such losses expire at
-	// the guardian's next poll instead of waiting out FailTimeout.
-	live := make(map[int]bool, cl.cfg.Workers)
-	for _, n := range cl.sys.LiveNodes() {
-		live[n] = true
-	}
-	for n := 1; n <= cl.cfg.Workers; n++ {
-		if !live[n] {
-			rt.NodeDown(n)
+		for n := 1; n <= cl.cfg.Workers; n++ {
+			if !live[n] {
+				rt.NodeDown(n)
+			}
 		}
+	})
+	if rt != nil {
+		cl.unregister(rt)
+		cl.absorb(rt.Stats(), err == nil)
 	}
-	res, err := rj.Wait()
-	cl.unregister(rt)
-	cl.absorb(rt.Stats(), err == nil)
 	if err != nil {
-		p.logf("cluster: job %s failed mid-run (%v) — degrading to in-process pool", job.id, err)
+		p.logf("cluster: job %s failed (%v) — degrading to an in-process run", job.id, err)
 		cl.fallback()
-		return false
+		return nil, false
 	}
-	if job.key != "" {
-		p.cache.put(job.key, res)
-	}
-	p.finish(job, res, nil, false)
-	return true
+	return res, true
 }

@@ -1,12 +1,14 @@
 package service
 
 import (
+	"strings"
 	"testing"
 	"time"
 
 	"resilientfusion/internal/core"
 	"resilientfusion/internal/resilient"
 	"resilientfusion/internal/scplib"
+	"resilientfusion/internal/telemetry"
 )
 
 // workerdRegistry is the thread-body registry a fusionworkerd process
@@ -23,7 +25,13 @@ func workerdRegistry() *scplib.BodyRegistry {
 // fusionworkerd-style (real sockets, in this process).
 func startClusterPool(t *testing.T, ccfg ClusterConfig, workers int) (*Pool, []*scplib.ClusterWorker) {
 	t.Helper()
-	pool, err := NewPool(Config{MaxConcurrent: 2, CacheEntries: -1, Cluster: &ccfg})
+	return startClusterPoolWith(t, Config{MaxConcurrent: 2, CacheEntries: -1, Cluster: &ccfg}, workers)
+}
+
+// startClusterPoolWith is startClusterPool over a whole pool config.
+func startClusterPoolWith(t *testing.T, cfg Config, workers int) (*Pool, []*scplib.ClusterWorker) {
+	t.Helper()
+	pool, err := NewPool(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,9 +59,9 @@ func startClusterPool(t *testing.T, ccfg ClusterConfig, workers int) (*Pool, []*
 
 // TestClusterBaseRecycling checks that finished jobs' phys-ID bases are
 // reused — but not while a finished job's threads still occupy the range
-// — and that fresh allocation wraps below clusterPhysMax without handing
-// out a running job's base: the disjoint-ID guarantee must hold in a
-// daemon that serves jobs indefinitely.
+// — and that fresh allocation wraps below physMax without handing out a
+// running job's base: the disjoint-ID guarantee must hold in a daemon
+// that serves jobs indefinitely.
 func TestClusterBaseRecycling(t *testing.T) {
 	sys, err := scplib.NewClusterSystem("", 1)
 	if err != nil {
@@ -61,10 +69,10 @@ func TestClusterBaseRecycling(t *testing.T) {
 	}
 	defer sys.Close()
 	sys.Start()
-	cl := &clusterState{sys: sys, nextBase: clusterPhysBase0, inUse: make(map[scplib.ThreadID]struct{})}
-	a, b := cl.allocBase(), cl.allocBase()
+	ids := newPhysIDs(sys)
+	a, b := ids.alloc(), ids.alloc()
 	if a == b {
-		t.Fatalf("allocBase handed out %d twice", a)
+		t.Fatalf("alloc handed out %d twice", a)
 	}
 
 	// A straggler of the finished job (its manager thread, say) still
@@ -75,30 +83,82 @@ func TestClusterBaseRecycling(t *testing.T) {
 	}}); err != nil {
 		t.Fatal(err)
 	}
-	cl.releaseBase(a)
-	c := cl.allocBase()
+	ids.release(a)
+	c := ids.alloc()
 	if c == a || c == b {
-		t.Fatalf("allocBase handed out %d with base %d draining and %d running", c, a, b)
+		t.Fatalf("alloc handed out %d with base %d draining and %d running", c, a, b)
 	}
 	sys.Kill(a + 3)
-	for deadline := time.Now().Add(5 * time.Second); sys.HasThreadsIn(a, a+clusterPhysStride); {
+	for deadline := time.Now().Add(5 * time.Second); sys.HasThreadsIn(a, a+physStride); {
 		if time.Now().After(deadline) {
 			t.Fatal("straggler never reaped")
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if d := cl.allocBase(); d != a {
+	if d := ids.alloc(); d != a {
 		t.Fatalf("drained base %d not reused, got %d", a, d)
 	}
 
 	// Near the cap, fresh allocation wraps and skips running jobs' bases.
-	cl.nextBase = clusterPhysMax
-	d := cl.allocBase()
-	if d+clusterPhysStride > clusterPhysMax {
-		t.Fatalf("allocation crossed clusterPhysMax: %d", d)
+	ids.next = physMax
+	d := ids.alloc()
+	if d+physStride > physMax {
+		t.Fatalf("allocation crossed physMax: %d", d)
 	}
 	if d == a || d == b || d == c {
 		t.Fatalf("wrapped allocation reused running job's base %d", d)
+	}
+}
+
+// TestPoolBaseRecycling is TestClusterBaseRecycling's plain-pool twin:
+// every in-process job spawns its threads into a range of the pool's own
+// system, so a pool that runs many more jobs than it ever holds ranges
+// must be reusing released ones — and once idle, no thread may remain in
+// any of them.
+func TestPoolBaseRecycling(t *testing.T) {
+	const jobs = 12
+	pool, err := NewPool(Config{Workers: 2, MaxConcurrent: 2, CacheEntries: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	cube := testCube(t, 81)
+	ids := make([]string, jobs)
+	for i := range ids {
+		// A fresh threshold per job keeps every job a distinct run.
+		st, err := pool.Submit(cube, core.Options{Threshold: 0.05 + float64(i)*1e-4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = st.ID
+	}
+	for i, id := range ids {
+		if got, err := pool.Wait(id); err != nil || got.State != StateDone {
+			t.Fatalf("job %d: %v %+v", i, err, got.Err)
+		}
+	}
+
+	pool.ids.mu.Lock()
+	held := int((pool.ids.next - physBase0) / physStride)
+	free := append([]scplib.ThreadID(nil), pool.ids.free...)
+	running := len(pool.ids.inUse)
+	pool.ids.mu.Unlock()
+	if held >= jobs {
+		t.Fatalf("%d jobs took %d fresh bases: released ranges are not reused", jobs, held)
+	}
+	if running != 0 || len(free) != held {
+		t.Fatalf("idle pool: %d bases in use, %d free of %d handed out", running, len(free), held)
+	}
+	for deadline := time.Now().Add(5 * time.Second); pool.sys.Live() > 0; {
+		if time.Now().After(deadline) {
+			t.Fatalf("idle pool still runs %d threads", pool.sys.Live())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for _, base := range free {
+		if pool.sys.HasThreadsIn(base, base+physStride) {
+			t.Fatalf("released range %d still holds threads", base)
+		}
 	}
 }
 
@@ -106,7 +166,7 @@ func TestClusterBaseRecycling(t *testing.T) {
 // after another on a loopback fleet. Each job's base returns to the free
 // list the moment its manager finishes, while its threads are still being
 // reaped; reusing it then made the next job's spawn fail with a duplicate
-// thread id and the job silently degrade to the in-process pool.
+// thread id and the job silently re-run in process.
 func TestClusterBackToBackJobsNeverFallBack(t *testing.T) {
 	const workers, jobs = 2, 24
 	pool, _ := startClusterPool(t, fastClusterConfig(workers), workers)
@@ -172,6 +232,67 @@ func TestClusterPoolMatchesInProcess(t *testing.T) {
 	}
 	if cs.Workers != workers || cs.LiveWorkers != workers {
 		t.Fatalf("cluster worker counts: %+v", cs)
+	}
+	// The stage metric comes from the job's own trace, so a cluster job
+	// feeds it like an in-process one.
+	var exposition strings.Builder
+	if err := pool.Metrics().WritePrometheus(&exposition); err != nil {
+		t.Fatal(err)
+	}
+	if n := sampleValue(t, exposition.String(), `fusion_worker_stage_seconds_count{stage="screen"}`); n < 1 {
+		t.Fatalf("cluster job observed %v screen stages, want >= 1", n)
+	}
+}
+
+// TestPanickingJobFailsUncached: a job whose manager panics ends failed
+// with nothing cached — in process, and over the cluster, where the
+// failed cluster run degrades to an in-process re-run that fails too.
+func TestPanickingJobFailsUncached(t *testing.T) {
+	ccfg := fastClusterConfig(2)
+	for _, tc := range []struct {
+		name string
+		pool func(t *testing.T) *Pool
+	}{
+		{"in-process", func(t *testing.T) *Pool {
+			pool, err := NewPool(Config{Workers: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { pool.Close() })
+			return pool
+		}},
+		{"cluster", func(t *testing.T) *Pool {
+			pool, _ := startClusterPoolWith(t, Config{MaxConcurrent: 2, Cluster: &ccfg}, ccfg.Workers)
+			return pool
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pool := tc.pool(t)
+			opts, err := pool.canonicalOptions(core.Options{Threshold: 0.05})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Submit validates cubes, so the job is built by hand: its
+			// samples stop short of its shape, and the manager's first
+			// tile extraction panics.
+			cube := testCube(t, 82)
+			cube.Data = cube.Data[:1:1]
+			job := &Job{
+				id: "job-panic", num: 1, cube: cube, opts: opts,
+				key:   "panic|" + opts.ResultKey(),
+				done:  make(chan struct{}),
+				state: StateQueued,
+				trace: telemetry.NewTraceRecorder(0),
+			}
+			pool.runJob(job)
+			st := pool.snapshot(job)
+			if st.State != StateFailed || st.Err == nil || !strings.Contains(st.Err.Error(), "panic") {
+				t.Fatalf("panicking job ended %s (err %v), want failed with the panic", st.State, st.Err)
+			}
+			if _, ok := pool.cache.peek(job.key); ok {
+				t.Fatal("the panicking job's result was cached")
+			}
+		})
 	}
 }
 

@@ -1,19 +1,14 @@
 package service
 
 import (
-	"errors"
-	"fmt"
 	"os"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"resilientfusion/internal/core"
-	"resilientfusion/internal/fuse"
 	"resilientfusion/internal/hsi"
-	"resilientfusion/internal/resilient"
 	"resilientfusion/internal/scene"
-	"resilientfusion/internal/scplib"
 	"resilientfusion/internal/telemetry"
 )
 
@@ -37,7 +32,7 @@ func (s JobState) terminal() bool {
 // Job is one fusion request moving through the pool.
 type Job struct {
 	id     string
-	num    uint64 // wire job ID
+	num    uint64 // submission sequence number
 	cube   *hsi.Cube
 	opts   core.Options
 	digest string
@@ -138,143 +133,3 @@ func (j *Job) markTilesComplete() {
 	j.tilesScreened.Store(int64(j.tilesTotal))
 	j.tilesTransformed.Store(int64(j.tilesTotal))
 }
-
-// jobEnv adapts a plain scplib thread environment to the resilient.REnv
-// interface core.RunManager is written against, scoped to one job: sends
-// are wrapped in the job envelope and fanned out to the pooled workers by
-// logical ID, receives are filtered to this job and translated back to
-// logical space. This is what lets the service reuse the exact manager
-// protocol (phases, reissue logic, dedupe) over a shared worker pool.
-type jobEnv struct {
-	env         scplib.Env
-	jobID       uint64
-	threshold   float64
-	parallelism int
-	alg         fuse.ID
-	// workers[w-1] is the physical thread of logical worker w (1..W).
-	workers []scplib.ThreadID
-	back    map[scplib.ThreadID]resilient.LogicalID
-}
-
-func newJobEnv(env scplib.Env, jobID uint64, threshold float64, parallelism int, alg fuse.ID, workers []scplib.ThreadID) *jobEnv {
-	back := make(map[scplib.ThreadID]resilient.LogicalID, len(workers))
-	for i, id := range workers {
-		back[id] = resilient.LogicalID(i + 1)
-	}
-	return &jobEnv{env: env, jobID: jobID, threshold: threshold, parallelism: parallelism, alg: alg, workers: workers, back: back}
-}
-
-func (e *jobEnv) Self() resilient.LogicalID { return core.ManagerID }
-func (e *jobEnv) Replica() int              { return 0 }
-func (e *jobEnv) Now() float64              { return e.env.Now() }
-
-func (e *jobEnv) Send(to resilient.LogicalID, kind uint16, payload []byte) error {
-	return e.SendFrame(to, kind, resilient.FrameOf(payload))
-}
-
-// SendFrame stamps the job envelope into the frame's headroom and hands
-// those same bytes to the worker's mailbox.
-func (e *jobEnv) SendFrame(to resilient.LogicalID, kind uint16, frame []byte) error {
-	w := int(to)
-	if w < 1 || w > len(e.workers) {
-		return nil // like sends to unknown threads: dropped silently
-	}
-	return e.env.Send(e.workers[w-1], kind, putEnvelope(frame, e.jobID, e.threshold, e.parallelism, e.alg))
-}
-
-// mine reports whether a raw message belongs to this job.
-func (e *jobEnv) mine(m *scplib.Message) bool {
-	id, ok := envelopeJobID(m.Payload)
-	return ok && id == e.jobID
-}
-
-// translate unwraps a raw message into logical space, or fails the job on
-// a worker-reported error.
-func (e *jobEnv) translate(m *scplib.Message) (*resilient.RMessage, error) {
-	_, _, _, _, inner, err := decodeEnvelope(m.Payload)
-	if err != nil {
-		return nil, err
-	}
-	if m.Kind == kindJobErr {
-		return nil, fmt.Errorf("service: worker %d: %s", e.back[m.From], inner)
-	}
-	return &resilient.RMessage{From: e.back[m.From], Kind: m.Kind, Payload: inner}, nil
-}
-
-// mapErr lifts scplib errors to the resilient error space the manager's
-// phase loops test against.
-func mapErr(err error) error {
-	switch {
-	case errors.Is(err, scplib.ErrTimeout):
-		return resilient.ErrTimeout
-	case errors.Is(err, scplib.ErrKilled):
-		return resilient.ErrKilled
-	}
-	return err
-}
-
-func (e *jobEnv) Recv() (*resilient.RMessage, error) {
-	m, err := e.env.RecvMatch(e.mine)
-	if err != nil {
-		return nil, mapErr(err)
-	}
-	return e.translate(m)
-}
-
-func (e *jobEnv) RecvTimeout(seconds float64) (*resilient.RMessage, error) {
-	m, err := e.env.RecvMatchTimeout(e.mine, seconds)
-	if err != nil {
-		return nil, mapErr(err)
-	}
-	return e.translate(m)
-}
-
-func (e *jobEnv) RecvMatch(match func(*resilient.RMessage) bool) (*resilient.RMessage, error) {
-	return e.recvMatch(match, -1)
-}
-
-func (e *jobEnv) RecvMatchTimeout(match func(*resilient.RMessage) bool, seconds float64) (*resilient.RMessage, error) {
-	return e.recvMatch(match, seconds)
-}
-
-func (e *jobEnv) recvMatch(match func(*resilient.RMessage) bool, seconds float64) (*resilient.RMessage, error) {
-	raw := func(m *scplib.Message) bool {
-		if !e.mine(m) {
-			return false
-		}
-		if m.Kind == kindJobErr {
-			return true // always surface job failures
-		}
-		rm, err := e.translate(m)
-		if err != nil {
-			return true // surface decode errors too
-		}
-		return match(rm)
-	}
-	var m *scplib.Message
-	var err error
-	if seconds < 0 {
-		m, err = e.env.RecvMatch(raw)
-	} else {
-		m, err = e.env.RecvMatchTimeout(raw, seconds)
-	}
-	if err != nil {
-		return nil, mapErr(err)
-	}
-	return e.translate(m)
-}
-
-func (e *jobEnv) Compute(flops float64) error { return e.env.Compute(flops) }
-
-func (e *jobEnv) Logf(format string, args ...any) { e.env.Logf(format, args...) }
-
-// stopWorkers retires this job's state on every pooled worker. The
-// manager protocol already sends per-worker stops on success; this sweep
-// also covers failed jobs, and duplicate stops are no-ops worker-side.
-func (e *jobEnv) stopWorkers() {
-	for _, id := range e.workers {
-		_ = e.env.Send(id, core.KindStop, putEnvelope(resilient.NewFrame(0), e.jobID, 0, 0, 0))
-	}
-}
-
-var _ resilient.REnv = (*jobEnv)(nil)

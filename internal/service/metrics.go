@@ -41,16 +41,13 @@ type poolMetrics struct {
 
 	httpDuration *telemetry.HistogramVec
 
-	// Pre-resolved per-stage children so the pooled workers' hot message
-	// loop pays one atomic histogram observe, not a vec lookup.
-	stageScreen     *telemetry.Histogram
-	stageCovariance *telemetry.Histogram
-	stageTransform  *telemetry.Histogram
-	stageFuse       *telemetry.Histogram
+	// stages holds fusion_worker_stage_seconds' children by trace stage
+	// name (see observeStages).
+	stages map[string]*telemetry.Histogram
 }
 
-// stageBuckets resolve worker kernel invocations from sub-millisecond
-// screens of tiny tiles up to multi-second statistics passes.
+// stageBuckets resolve work items from sub-millisecond screens of tiny
+// tiles up to multi-second statistics passes.
 var stageBuckets = []float64{.0001, .0005, .001, .005, .01, .05, .1, .5, 1, 5}
 
 // newPoolMetrics registers the service instruments on reg. The GaugeFunc
@@ -103,11 +100,12 @@ func newPoolMetrics(reg *telemetry.Registry, p *Pool) *poolMetrics {
 			telemetry.DefBuckets, "route", "status"),
 	}
 	stages := reg.HistogramVec("fusion_worker_stage_seconds",
-		"Pooled-worker kernel latency by pipeline stage.", stageBuckets, "stage")
-	m.stageScreen = stages.With("screen")
-	m.stageCovariance = stages.With("covariance")
-	m.stageTransform = stages.With("transform")
-	m.stageFuse = stages.With("fuse")
+		"Per-item worker stage latency, first dispatch to accepted reply, from each run job's trace.",
+		stageBuckets, "stage")
+	m.stages = make(map[string]*telemetry.Histogram)
+	for _, stage := range []string{"screen", "covariance", "transform", "fuse"} {
+		m.stages[stage] = stages.With(stage)
+	}
 
 	reg.GaugeFunc("fusion_jobs_running", "Jobs currently executing.", func() int64 {
 		p.mu.Lock()
@@ -137,6 +135,20 @@ func newPoolMetrics(reg *telemetry.Registry, p *Pool) *poolMetrics {
 		return int64(len(p.scenes))
 	})
 	return m
+}
+
+// observeStages feeds fusion_worker_stage_seconds from a job that ran:
+// one sample per screen, covariance, transform or fuse span in its trace,
+// each one work item from first dispatch to accepted reply. The job's
+// trace is the metric's only source, whether its workers ran in process
+// or on the cluster.
+func (m *poolMetrics) observeStages(tr *telemetry.TraceRecorder) {
+	spans, _ := tr.Snapshot()
+	for _, s := range spans {
+		if h := m.stages[s.Name]; h != nil {
+			h.Observe(s.End - s.Start)
+		}
+	}
 }
 
 // sceneTileRead is the scene.PrefetchTiler.OnRead hook: every tile read

@@ -56,7 +56,7 @@ func sampleValue(t *testing.T, exposition, name string) float64 {
 // TestMetricsEndpoint runs one cube fusion and asserts the /metrics
 // exposition reflects it: service counters agree with Stats() (both read
 // the same registry), the HTTP route histogram saw the submit, and the
-// worker stage histograms saw kernel messages.
+// worker stage histograms saw one sample per work item of the job.
 func TestMetricsEndpoint(t *testing.T) {
 	pool, err := NewPool(Config{Workers: 2, MaxConcurrent: 2})
 	if err != nil {
@@ -83,12 +83,17 @@ func TestMetricsEndpoint(t *testing.T) {
 		"# TYPE fusion_jobs_duration_seconds histogram",
 		"# TYPE fusion_queue_depth gauge",
 		`fusion_http_request_duration_seconds_count{route="POST /v2/jobs",status="202"} 1`,
-		`fusion_worker_stage_seconds_count{stage="screen"}`,
-		`fusion_worker_stage_seconds_count{stage="transform"}`,
 		"fusion_jobs_duration_seconds_bucket{le=\"+Inf\"} 1",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("exposition missing %q", want)
+		}
+	}
+	// Default granularity 2 over 2 workers: 4 sub-cubes, each screened
+	// and transformed once, and one covariance part per worker.
+	for stage, want := range map[string]float64{"screen": 4, "transform": 4, "covariance": 2, "fuse": 0} {
+		if got := sampleValue(t, body, `fusion_worker_stage_seconds_count{stage="`+stage+`"}`); got != want {
+			t.Errorf("stage %s observed %v times, want %v", stage, got, want)
 		}
 	}
 
@@ -199,6 +204,12 @@ func TestSceneJobTraceEndpoint(t *testing.T) {
 	}
 	if got := sampleValue(t, body, "fusion_scene_spool_bytes_total"); got < float64(len(data)) {
 		t.Fatalf("fusion_scene_spool_bytes_total = %v, want >= %d", got, len(data))
+	}
+	// The stage histograms are fed from this same timeline.
+	for _, stage := range []string{"screen", "covariance", "transform"} {
+		if got := sampleValue(t, body, `fusion_worker_stage_seconds_count{stage="`+stage+`"}`); got != float64(seen[stage]) {
+			t.Errorf("stage %s metric count %v, timeline has %d spans", stage, got, seen[stage])
+		}
 	}
 
 	// Unknown job ids keep the structured error envelope.

@@ -317,7 +317,7 @@ func (p *Pool) RemoveScene(id string) error {
 }
 
 // FuseScene enqueues a whole-scene fusion: the job streams the scene's
-// row tiles through the pooled workers, reporting per-tile progress, and
+// row tiles through its workers, reporting per-tile progress, and
 // produces output bit-identical to submitting the fully-loaded cube with
 // the same options. Served from the result cache when an identical scene
 // or cube already fused.
@@ -331,6 +331,9 @@ func (p *Pool) FuseScene(id string, opts core.Options) (JobStatus, error) {
 	p.mu.Unlock()
 	if ent == nil {
 		return JobStatus{}, ErrUnknownScene
+	}
+	if err := checkBands(opts, ent.h.Bands); err != nil {
+		return JobStatus{}, err
 	}
 	// Open the job's own handle now: an unlink (RemoveScene, pool close)
 	// between acceptance and execution then cannot strand the job — the

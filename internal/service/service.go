@@ -1,13 +1,13 @@
 // Package service turns the one-shot fusion pipeline into a multi-job
-// fusion service: one long-lived scplib.RealSystem hosts a pool of
-// persistent fusion workers, and many concurrent jobs are multiplexed
-// over it — each job spawns only a lightweight manager thread that drives
-// the paper's 8-step protocol (core.RunManager) against the shared
-// workers, with messages scoped by job envelope. Compared to core.Fuse
-// per request, the pool pays system construction and worker spawn once,
-// admission-controls incoming jobs (bounded queue, bounded concurrency),
-// and answers repeated scenes from a content-addressed result cache keyed
-// by cube digest + canonicalized options.
+// fusion service: one long-lived scplib.RealSystem hosts every job, and
+// each job runs through core.StartJob — its own manager and workers, in
+// a thread-ID range of its own, at replication 1 (the paper's "no
+// resiliency" series). Cluster mode runs the same function over a
+// fusionworkerd fleet with replication on, and re-runs a job in process
+// when the fleet cannot serve it. Around that one execution path the
+// pool admission-controls incoming jobs (bounded queue, bounded
+// concurrency) and answers repeated scenes from a content-addressed
+// result cache keyed by cube digest + canonicalized options.
 //
 // cmd/fusiond exposes the pool over HTTP (Pool.Handler, the /v2 API);
 // examples/service drives it end to end.
@@ -61,10 +61,11 @@ var (
 
 // Config tunes a Pool.
 type Config struct {
-	// Workers is the number of persistent fusion workers (default 4).
+	// Workers is the number of workers each job is decomposed over
+	// (default 4).
 	Workers int
 	// MaxConcurrent is how many jobs run at once (default 2). Each
-	// running job holds one manager thread; workers are shared.
+	// running job has its own manager and workers.
 	MaxConcurrent int
 	// QueueDepth bounds jobs waiting beyond the running ones (default
 	// 64); submissions past it are rejected with ErrQueueFull.
@@ -110,9 +111,8 @@ type Config struct {
 	CacheSpillBytes int64
 	// Cluster, when non-nil, enables cluster mode: the pool listens for
 	// fusionworkerd processes and runs jobs' worker replicas remotely,
-	// falling back to the in-process pool below quorum. It forces
-	// Workers to Cluster.Workers so both paths decompose scenes
-	// identically.
+	// re-running a job in process below quorum. It forces Workers to
+	// Cluster.Workers so both runs decompose scenes identically.
 	Cluster *ClusterConfig
 	// Metrics is the telemetry registry the pool instruments (served at
 	// GET /metrics). Nil selects a pool-private registry. Registries
@@ -205,24 +205,23 @@ type StoreStats struct {
 
 // Pool is the multi-job fusion service.
 type Pool struct {
-	cfg       Config
-	sys       *scplib.RealSystem
-	cluster   *clusterState // nil unless cluster mode is on
-	workerIDs []scplib.ThreadID
-	cache     *resultCache
-	metrics   *poolMetrics
-	queue     chan *Job
-	wg        sync.WaitGroup // dispatcher goroutines
-	t0        time.Time
-	shut      chan struct{} // closed once Close has drained every job
+	cfg     Config
+	sys     *scplib.RealSystem // in-process jobs run here
+	ids     *physIDs           // thread-ID ranges of the jobs on sys
+	cluster *clusterState      // nil unless cluster mode is on
+	cache   *resultCache
+	metrics *poolMetrics
+	queue   chan *Job
+	wg      sync.WaitGroup // dispatcher goroutines
+	t0      time.Time
+	shut    chan struct{} // closed once Close has drained every job
 
-	mu         sync.Mutex
-	closed     bool
-	jobs       map[string]*Job
-	doneOrder  []string // finished jobs, oldest first (eviction order)
-	nextJob    uint64
-	nextThread scplib.ThreadID
-	running    int
+	mu        sync.Mutex
+	closed    bool
+	jobs      map[string]*Job
+	doneOrder []string // finished jobs, oldest first (eviction order)
+	nextJob   uint64
+	running   int
 
 	// Scene registry (see scene.go). spoolDir is resolved at NewPool;
 	// ownSpool marks a pool-created temporary directory removed by Close.
@@ -240,8 +239,8 @@ type Pool struct {
 	recovery *RecoveryReport
 }
 
-// NewPool builds and starts a pool: the system begins running with all
-// workers spawned, and MaxConcurrent dispatchers wait for jobs.
+// NewPool builds and starts a pool: the system begins running, and
+// MaxConcurrent dispatchers wait for jobs.
 func NewPool(cfg Config) (*Pool, error) {
 	cfg = cfg.withDefaults()
 	sys := scplib.NewRealSystem()
@@ -251,15 +250,15 @@ func NewPool(cfg Config) (*Pool, error) {
 		reg = telemetry.NewRegistry()
 	}
 	p := &Pool{
-		cfg:        cfg,
-		sys:        sys,
-		queue:      make(chan *Job, cfg.QueueDepth),
-		shut:       make(chan struct{}),
-		t0:         time.Now(),
-		jobs:       make(map[string]*Job),
-		scenes:     make(map[string]*sceneEntry),
-		spoolDir:   cfg.SpoolDir,
-		nextThread: scplib.ThreadID(cfg.Workers + 1),
+		cfg:      cfg,
+		sys:      sys,
+		ids:      newPhysIDs(sys),
+		queue:    make(chan *Job, cfg.QueueDepth),
+		shut:     make(chan struct{}),
+		t0:       time.Now(),
+		jobs:     make(map[string]*Job),
+		scenes:   make(map[string]*sceneEntry),
+		spoolDir: cfg.SpoolDir,
 	}
 	p.metrics = newPoolMetrics(reg, p)
 	if p.spoolDir == "" {
@@ -294,19 +293,6 @@ func NewPool(cfg Config) (*Pool, error) {
 		p.cluster = cl
 		p.logf("cluster: coordinator listening on %s for %d workers", cl.sys.Addr(), cl.cfg.Workers)
 	}
-	// The in-process pool always exists: in cluster mode it is the
-	// graceful-degradation path for jobs below quorum.
-	for w := 1; w <= cfg.Workers; w++ {
-		id := scplib.ThreadID(w)
-		if err := sys.Spawn(scplib.ThreadSpec{
-			ID:   id,
-			Name: fmt.Sprintf("poolworker%d", w),
-			Body: poolWorkerBody(p.metrics),
-		}); err != nil {
-			return nil, err
-		}
-		p.workerIDs = append(p.workerIDs, id)
-	}
 	sys.Start()
 	for i := 0; i < cfg.MaxConcurrent; i++ {
 		p.wg.Add(1)
@@ -335,6 +321,9 @@ func (p *Pool) Submit(cube *hsi.Cube, opts core.Options) (JobStatus, error) {
 	if err != nil {
 		return JobStatus{}, err
 	}
+	if err := checkBands(opts, cube.Bands); err != nil {
+		return JobStatus{}, err
+	}
 	// The content-addressed key is only worth the full-cube hash when a
 	// cache exists to serve it.
 	var digest string
@@ -360,16 +349,17 @@ func (p *Pool) Submit(cube *hsi.Cube, opts core.Options) (JobStatus, error) {
 // a queue slot. Shared by the in-memory (Submit) and scene (FuseScene)
 // submission paths.
 func (p *Pool) canonicalOptions(opts core.Options) (core.Options, error) {
-	// Jobs always run at the pool's worker count and without replication:
-	// process pooling, not thread replication, is this layer's resilience
-	// story (workers are goroutines in one process).
+	// Jobs always run at the pool's worker count and, in process, without
+	// replication: the paper's "no resiliency" series, whose workers are
+	// goroutines in this one process. Cluster mode applies its own
+	// replication per run (clusterOptions), outside the result key.
 	opts.Workers = p.cfg.Workers
 	opts.Replication = 1
 	opts.Regenerate = false
-	// Pooled workers serve many jobs concurrently: share the host's
-	// parallelism across the pool by default instead of letting every
-	// worker's kernels fan out to GOMAXPROCS. Explicit client settings
-	// win; results are identical either way (fixed shard grids).
+	// A job's workers compute side by side: share the host's parallelism
+	// among them by default instead of letting every worker's kernels fan
+	// out to GOMAXPROCS. Explicit client settings win; results are
+	// identical either way (fixed shard grids).
 	if opts.Parallelism == 0 {
 		opts.Parallelism = core.SharedKernelParallelism(p.cfg.Workers)
 	}
@@ -402,6 +392,18 @@ func (p *Pool) canonicalOptions(opts core.Options) (core.Options, error) {
 			core.ErrBadOptions, opts.Granularity, maxSubCubes)
 	}
 	return opts, nil
+}
+
+// checkBands rejects a pct job on a cube with fewer bands than the
+// components it keeps: the transform matrix needs k ≤ n, and the run
+// would otherwise fail only after it held a queue slot. The tile
+// algorithms fuse any band count.
+func checkBands(opts core.Options, bands int) error {
+	if opts.Algorithm == "pct" && bands < opts.Components {
+		return fmt.Errorf("%w: pct keeps %d components but the cube has %d bands",
+			core.ErrBadOptions, opts.Components, bands)
+	}
+	return nil
 }
 
 // enqueue admits one job built by mk (called with the job's allocated
@@ -698,8 +700,8 @@ func (p *Pool) Stats() Stats {
 }
 
 // Close stops accepting jobs, drains queued and running ones, then tears
-// the worker pool down. It returns the system's combined thread errors
-// (nil in normal operation).
+// the system down. It returns the system's combined thread errors (nil in
+// normal operation).
 func (p *Pool) Close() error {
 	p.mu.Lock()
 	if p.closed {
@@ -717,7 +719,7 @@ func (p *Pool) Close() error {
 		p.cluster.sys.Stop()
 		p.cluster.sys.Close()
 	}
-	p.sys.Stop() // kill persistent workers
+	p.sys.Stop() // kill finished jobs' stragglers
 	err := p.sys.Wait()
 	// Release spooled scenes after the drain: queued scene jobs read
 	// their files until the dispatchers finish. Durable pools keep the
@@ -748,7 +750,7 @@ func (p *Pool) dispatch() {
 	}
 }
 
-// runJob executes one job over the shared worker pool.
+// runJob executes one job and moves it to its terminal state.
 func (p *Pool) runJob(job *Job) {
 	p.mu.Lock()
 	// Canceled while queued: the terminal transition already happened
@@ -760,8 +762,6 @@ func (p *Pool) runJob(job *Job) {
 	job.state = StateRunning
 	job.started = time.Now()
 	p.running++
-	tid := p.nextThread
-	p.nextThread++
 	p.mu.Unlock()
 	p.journalStart(job)
 	defer func() {
@@ -778,78 +778,67 @@ func (p *Pool) runJob(job *Job) {
 		}
 	}
 
-	// Cluster mode first; a false return degrades to the in-process pool.
-	if p.cluster != nil && p.runJobCluster(job) {
-		return
-	}
-
-	res := &core.Result{}
-	errc := make(chan error, 1)
-	// canonicalOptions validated the algorithm at submit, so the lookup
-	// cannot miss here; the ID rides in every envelope so pooled workers
-	// build the right per-job state from the first message.
-	alg, _ := fuse.Lookup(job.opts.Algorithm)
-	spawnErr := p.sys.Spawn(scplib.ThreadSpec{
-		ID:   tid,
-		Name: fmt.Sprintf("jobmgr-%d", job.num),
-		Body: func(env scplib.Env) error {
-			je := newJobEnv(env, job.num, job.opts.Threshold, job.opts.Parallelism, alg.ID, p.workerIDs)
-			// The recorder rides in a copy of the options: job.opts (and
-			// its ResultKey, computed at enqueue) stays trace-free, so
-			// caching and the canonical-options echo are untouched.
-			opts := job.opts
-			opts.Trace = job.trace
-			var jobErr error
-			// The errc send must happen on every exit — including a panic
-			// in the manager protocol, which scplib's thread wrapper would
-			// otherwise swallow, wedging this dispatcher forever.
-			defer func() {
-				if r := recover(); r != nil {
-					jobErr = fmt.Errorf("service: job manager panic: %v", r)
-				}
-				je.stopWorkers()
-				errc <- jobErr
-			}()
-			if job.sceneID != "" {
-				// Scene jobs stream row tiles straight off the spooled
-				// file, through the handle the job has held since submit
-				// (finish() closes it; tile reads are manager-thread
-				// sequential). The tiler is wrapped with one-tile
-				// read-ahead over the decomposition the manager will
-				// derive, so the next row-window decodes off disk while
-				// the current tile is on the wire; the drain runs before
-				// finish() can close the spool handle under a prefetch.
-				rdr, err := scene.NewReaderFrom(job.sceneHdr, job.sceneFile)
-				if err != nil {
-					jobErr = fmt.Errorf("service: opening scene %s: %w", job.sceneID, err)
-					return nil
-				}
-				tiler := scene.NewPrefetchTiler(scene.NewTiler(rdr),
-					opts.TileRanges(job.sceneHdr.Lines))
-				tiler.OnRead = p.metrics.sceneTileRead
-				defer tiler.Drain()
-				src := &sceneSource{tiler: tiler, job: job}
-				jobErr = core.RunManagerSource(je, src, opts, res)
-			} else {
-				jobErr = core.RunManager(je, job.cube, opts, res)
-			}
-			// Job failures are reported on the job, not accumulated as
-			// system errors.
-			return nil
-		},
-	})
-	if spawnErr != nil {
-		p.finish(job, nil, spawnErr, false)
-		return
-	}
-	if err := <-errc; err != nil {
-		p.finish(job, nil, err, false)
-		return
-	}
-	if job.key != "" {
+	res, err := p.execute(job)
+	p.metrics.observeStages(job.trace)
+	if err == nil && job.key != "" {
 		p.cache.put(job.key, res)
 	}
-	p.finish(job, res, nil, false)
+	p.finish(job, res, err, false)
+}
+
+// execute runs a job to its result: over the cluster when cluster mode
+// is on and the fleet can serve it, else on the pool's own system. The
+// source is built once and serves both attempts, and both run the same
+// core.StartJob, so an in-process re-run is bit-identical to the cluster
+// run it replaces.
+func (p *Pool) execute(job *Job) (*core.Result, error) {
+	// The recorder rides in a copy of the options: job.opts (and its
+	// ResultKey, computed at enqueue) stays trace-free, so caching and
+	// the canonical-options echo are untouched.
+	opts := job.opts
+	opts.Trace = job.trace
+	var src core.CubeSource
+	if job.sceneID == "" {
+		src = core.MemSource(job.cube)
+	} else {
+		// Scene jobs stream row tiles straight off the spooled file,
+		// through the handle the job has held since submit (finish()
+		// closes it). The tiler reads one tile ahead over the
+		// decomposition the manager will derive, so the next row-window
+		// decodes off disk while the current tile is on the wire; the
+		// drain runs before finish() can close the spool handle under a
+		// prefetch.
+		rdr, err := scene.NewReaderFrom(job.sceneHdr, job.sceneFile)
+		if err != nil {
+			return nil, fmt.Errorf("service: opening scene %s: %w", job.sceneID, err)
+		}
+		tiler := scene.NewPrefetchTiler(scene.NewTiler(rdr), opts.TileRanges(job.sceneHdr.Lines))
+		tiler.OnRead = p.metrics.sceneTileRead
+		defer tiler.Drain()
+		src = &sceneSource{tiler: tiler, job: job}
+	}
+	if p.cluster != nil {
+		if res, ok := p.runJobCluster(job, src, opts); ok {
+			return res, nil
+		}
+	}
+	return runOn(p.sys, p.ids, src, opts, nil)
+}
+
+// runOn runs one attempt of a job through core.StartJob on sys, in a
+// thread-ID range drawn from ids — the service's only way to run a job.
+// started, when set, sees the running job before it is awaited.
+func runOn(sys scplib.System, ids *physIDs, src core.CubeSource, opts core.Options, started func(*core.RunningJob)) (*core.Result, error) {
+	base := ids.alloc()
+	defer ids.release(base)
+	rj, err := core.StartJob(sys, src, opts, base)
+	if err != nil {
+		return nil, err
+	}
+	if started != nil {
+		started(rj)
+	}
+	return rj.Wait()
 }
 
 // finish moves a job to its terminal state and evicts old finished jobs.

@@ -48,7 +48,7 @@ func sameResult(t *testing.T, got, want *core.Result, label string) {
 
 // TestConcurrentJobsSharedPool pushes 32 concurrent, distinct jobs
 // through one pooled system and checks every result bit-for-bit against
-// the sequential oracle — per-job isolation over shared workers.
+// the sequential oracle — per-job isolation on one shared system.
 func TestConcurrentJobsSharedPool(t *testing.T) {
 	const jobs = 32
 	pool, err := NewPool(Config{Workers: 4, MaxConcurrent: 8, QueueDepth: jobs})
