@@ -56,7 +56,7 @@ func main() {
 		fmt.Printf("  "+format+"\n", args...)
 	}
 
-	job, err := core.NewJob(sys, scene.Cube, opts)
+	job, err := core.StartJob(sys, core.MemSource(scene.Cube), opts, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

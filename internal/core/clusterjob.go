@@ -13,16 +13,17 @@ import (
 	"resilientfusion/internal/scplib"
 )
 
-// Jobs on a long-lived system: the same 8-step fusion protocol as
-// NewJobSource, started on a system that is already running and shared
-// with other jobs. On a scplib.ClusterSystem the worker replicas spawn
-// into remote fusionworkerd processes (the manager and guardian stay on
-// the coordinator, node 0; worker groups ship as RemoteBody specs whose
-// inner kind is WorkerBodyKind); on a plain RealSystem every thread is a
-// local goroutine. Because workerState is a deterministic function of
-// its message stream and the per-replica kernels reduce over fixed shard
-// grids, the mosaic is bit-identical either way for the same Options —
-// the property the chaos test asserts under SIGKILL.
+// StartJob is the one way a fusion job is wired: on a dedicated system
+// (Fuse, the simulated cluster) and on a long-lived one shared with
+// other jobs (the service). On a scplib.ClusterSystem the worker
+// replicas spawn into remote fusionworkerd processes (the manager and
+// guardian stay on the coordinator, node 0; worker groups ship as
+// RemoteBody specs whose inner kind is WorkerBodyKind); on a RealSystem
+// or SimSystem every thread is local. Because workerState is a
+// deterministic function of its message stream and the per-replica
+// kernels reduce over fixed shard grids, the mosaic is bit-identical
+// either way for the same Options — the property the chaos test asserts
+// under SIGKILL.
 
 // WorkerBodyKind names the fusion worker loop in worker-side registries.
 const WorkerBodyKind = "core.worker"
@@ -73,10 +74,9 @@ func RegisterWorkerBodies(reg *resilient.BodyRegistry) {
 	})
 }
 
-// RunningJob is a fusion job started on a long-lived system. Unlike Job
-// (whose caller drives sys.Run for a dedicated system), a RunningJob's
-// threads execute immediately on the already-running system; Wait blocks
-// for the manager protocol to finish.
+// RunningJob is a started fusion job. On a running system its threads
+// execute at once and Wait blocks for the manager protocol to finish; on
+// a dedicated system that has not started, Run drives the system first.
 type RunningJob struct {
 	rt   *resilient.Runtime
 	res  *Result
@@ -95,28 +95,32 @@ func (j *RunningJob) fail(err error) {
 	j.mu.Unlock()
 }
 
-// StartJob wires a fusion job onto a running system, placing worker
-// replicas on worker nodes 1..opts.Workers and the manager plus guardian
-// locally. base offsets every physical thread ID the job's runtime
-// allocates, so concurrent jobs on one system cannot collide.
+// StartJob wires a fusion job onto sys, placing worker replicas on
+// worker nodes 1..opts.Workers and the manager plus guardian on node 0.
+// On a running system the job starts at once; on a dedicated system
+// that has not started, call Run. base offsets every physical thread ID
+// the job's runtime allocates, so concurrent jobs on one system cannot
+// collide (a dedicated system passes 0).
+//
+// Node layout: worker i's primary replica runs on node i, and replica k
+// on node 1+((i-1+k) mod Workers) — with replication 2 every worker node
+// hosts exactly two replicas, which is how the paper's "factor of two"
+// replication cost arises.
 //
 // Workers are monitored groups whenever the runtime can act on a
 // detection: at replication above 1, or with regeneration on. At
 // replication 1 without regeneration — the paper's "no resiliency"
-// series, which the service runs in process — they are unmonitored
-// singletons, as in NewJobSource: there a detection could only kill a
-// worker that is busy in a long kernel.
+// series — they are unmonitored singletons: there a detection could only
+// kill a worker that is busy in a long kernel.
 //
 // Every failure ends the job through Wait, never as a system error: a
 // manager error or panic, and the error or panic of a worker running in
 // this process, which also stops the manager at once instead of leaving
 // it to wait out RequestTimeout.
 //
-// Spawn order matters on a live system: workers are added before the
-// manager so that by the time the manager's first screening request is
-// sent, every worker phys ID routes somewhere. (NewJobSource adds the
-// manager first; that order is only safe because its system has not
-// started yet.)
+// Workers are added before the manager so that, on a live system, every
+// worker phys ID routes somewhere by the time the manager's first
+// screening request is sent.
 func StartJob(sys scplib.System, src CubeSource, opts Options, base scplib.ThreadID) (*RunningJob, error) {
 	opts = opts.withDefaults()
 	if err := validateSource(src); err != nil {
@@ -170,16 +174,11 @@ func StartJob(sys scplib.System, src CubeSource, opts Options, base scplib.Threa
 			rt.KillReplica(ManagerID, 0)
 			return nil
 		}
-		if monitored {
-			placements := make([]int, opts.Replication)
-			for k := 0; k < opts.Replication; k++ {
-				placements[k] = 1 + (w-1+k)%opts.Workers
-			}
-			err = rt.AddGroupRemote(lid, name, placements, body, WorkerBodyKind, args)
-		} else {
-			err = rt.AddSingletonRemote(lid, name, w, body, WorkerBodyKind, args)
+		placements := make([]int, opts.Replication)
+		for k := range placements {
+			placements[k] = 1 + (w-1+k)%opts.Workers
 		}
-		if err != nil {
+		if err := rt.Add(lid, name, placements, monitored, body, WorkerBodyKind, args); err != nil {
 			return nil, err
 		}
 	}
@@ -196,7 +195,7 @@ func StartJob(sys scplib.System, src CubeSource, opts Options, base scplib.Threa
 		}
 		return nil
 	}
-	if err := rt.AddSingleton(ManagerID, "manager", 0, mgr); err != nil {
+	if err := rt.Add(ManagerID, "manager", []int{0}, false, mgr, "", nil); err != nil {
 		return nil, err
 	}
 	if err := rt.Start(); err != nil {
@@ -211,6 +210,18 @@ func StartJob(sys scplib.System, src CubeSource, opts Options, base scplib.Threa
 // Runtime exposes the job's resiliency runtime (failure injection,
 // stats, transport liveness hooks).
 func (j *RunningJob) Runtime() *resilient.Runtime { return j.rt }
+
+// Run drives a dedicated system — one that hosts only this job and has
+// not started — to completion, then returns Wait's result. A nil sys.Run
+// means every thread has returned, the manager's included, so Wait does
+// not block; a manager killed before its first step leaves the workers
+// blocked, which the system reports as its own error.
+func (j *RunningJob) Run() (*Result, error) {
+	if err := j.rt.Run(); err != nil {
+		return nil, err
+	}
+	return j.Wait()
+}
 
 // Wait blocks for completion and returns the fusion result.
 func (j *RunningJob) Wait() (*Result, error) {

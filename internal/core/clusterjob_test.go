@@ -9,6 +9,7 @@ import (
 
 	"resilientfusion/internal/fuse"
 	"resilientfusion/internal/hsi"
+	"resilientfusion/internal/perfmodel"
 	"resilientfusion/internal/resilient"
 	"resilientfusion/internal/scplib"
 )
@@ -362,25 +363,56 @@ func TestStartJobManagerPanicFails(t *testing.T) {
 
 // TestStartJobWorkerErrorFailsFast: a worker whose kernel fails ends the
 // job at once with the worker's error, instead of leaving the manager to
-// wait out RequestTimeout for a reply that never comes.
+// wait out RequestTimeout for a reply that never comes — on a shared
+// system, on a dedicated one, and on the simulated cluster.
 func TestStartJobWorkerErrorFailsFast(t *testing.T) {
 	// StartJob leaves the threshold to the screen kernel, which rejects a
 	// negative one on every worker's first request.
 	opts := Options{Workers: 2, Threshold: -1, RequestTimeout: 60}
-	job, err := StartJob(startLocal(t), MemSource(testScene(t)), opts, 0)
-	if err != nil {
-		t.Fatal(err)
+	// bound is far below one RequestTimeout, on the system's own clock:
+	// wall seconds on RealSystem, virtual seconds on simnet.
+	const bound = 5.0
+	cube := testScene(t)
+	fuse := func(sys scplib.System) error {
+		_, err := Fuse(sys, cube, opts)
+		return err
 	}
-	t0 := time.Now()
-	_, err = job.Wait()
-	if err == nil || !strings.Contains(err.Error(), "worker") {
-		t.Fatalf("Wait error %v, want the worker's failure", err)
+	sim, _, _ := simCluster(opts.Workers, perfmodel.EffectiveWorkstationRate)
+	rows := []struct {
+		name string
+		sys  scplib.System
+		run  func(scplib.System) error
+	}{
+		{"shared RealSystem, StartJob", startLocal(t), func(sys scplib.System) error {
+			job, err := StartJob(sys, MemSource(cube), opts, 0)
+			if err != nil {
+				return err
+			}
+			_, err = job.Wait()
+			return err
+		}},
+		{"dedicated RealSystem, Fuse", scplib.NewRealSystem(), fuse},
+		{"simnet, Fuse", sim, fuse},
 	}
-	if errors.Is(err, resilient.ErrKilled) {
-		t.Fatalf("Wait reported the manager's kill, not its cause: %v", err)
-	}
-	if d := time.Since(t0); d > 15*time.Second {
-		t.Fatalf("worker failure took %v to end the job", d)
+	for _, row := range rows {
+		t0 := row.sys.Now()
+		done := make(chan error, 1)
+		go func() { done <- row.run(row.sys) }()
+		var err error
+		select {
+		case err = <-done:
+		case <-time.After(30 * time.Second):
+			t.Fatalf("%s: the job was still running after 30 s", row.name)
+		}
+		if err == nil || !strings.Contains(err.Error(), "worker") {
+			t.Fatalf("%s: error %v, want the worker's failure", row.name, err)
+		}
+		if errors.Is(err, resilient.ErrKilled) {
+			t.Fatalf("%s: reported the manager's kill, not its cause: %v", row.name, err)
+		}
+		if d := row.sys.Now() - t0; d > bound {
+			t.Fatalf("%s: worker failure took %.3g s to end the job", row.name, d)
+		}
 	}
 }
 

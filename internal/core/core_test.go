@@ -28,9 +28,9 @@ func testScene(t *testing.T) *hsi.Cube {
 	return s.Cube
 }
 
-// simJob builds a fusion job on a fresh simulated cluster at the
-// calibrated workstation rate.
-func simJob(t *testing.T, cube *hsi.Cube, opts Options) (*Job, *simnet.Exec, []*simnet.Node) {
+// simJob starts a fusion job on a fresh simulated cluster at the
+// calibrated workstation rate; the test calls Run.
+func simJob(t *testing.T, cube *hsi.Cube, opts Options) (*RunningJob, *simnet.Exec, []*simnet.Node) {
 	t.Helper()
 	return simJobRate(t, cube, opts, perfmodel.EffectiveWorkstationRate)
 }
@@ -38,9 +38,20 @@ func simJob(t *testing.T, cube *hsi.Cube, opts Options) (*Job, *simnet.Exec, []*
 // simJobRate lets tests slow the virtual CPUs down so that small test
 // cubes produce seconds of virtual makespan (enough for mid-run failure
 // injection and compute-dominated speedup shapes).
-func simJobRate(t *testing.T, cube *hsi.Cube, opts Options, rate float64) (*Job, *simnet.Exec, []*simnet.Node) {
+func simJobRate(t *testing.T, cube *hsi.Cube, opts Options, rate float64) (*RunningJob, *simnet.Exec, []*simnet.Node) {
 	t.Helper()
-	x, nodes := scplib.NewCluster(opts.Workers+1, rate)
+	sys, x, nodes := simCluster(opts.Workers, rate)
+	job, err := StartJob(sys, MemSource(cube), opts, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return job, x, nodes
+}
+
+// simCluster builds a dedicated simulated cluster: the manager's node 0
+// plus one node per worker, every CPU at rate.
+func simCluster(workers int, rate float64) (*scplib.SimSystem, *simnet.Exec, []*simnet.Node) {
+	x, nodes := scplib.NewCluster(workers+1, rate)
 	x.Horizon = 1e6
 	// Protocol CPU cost is calibrated against the standard rate; scale it
 	// so slowed-down clusters keep the same protocol/compute ratio.
@@ -48,12 +59,7 @@ func simJobRate(t *testing.T, cube *hsi.Cube, opts Options, rate float64) (*Job,
 	scale := rate / perfmodel.EffectiveWorkstationRate
 	cost.FixedFlops *= scale
 	cost.FlopsPerByte *= scale
-	sys := scplib.NewSimSystem(x, x.NewBus(0, 0), nodes, cost)
-	job, err := NewJob(sys, cube, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return job, x, nodes
+	return scplib.NewSimSystem(x, x.NewBus(0, 0), nodes, cost), x, nodes
 }
 
 func imagesEqual(a, b *image.RGBA) bool {
@@ -298,17 +304,17 @@ func TestPrefetchDisabled(t *testing.T) {
 func TestOptionsValidation(t *testing.T) {
 	cube := testScene(t)
 	sys := scplib.NewRealSystem()
-	if _, err := NewJob(sys, cube, Options{Workers: 0}); !errors.Is(err, ErrBadOptions) {
+	if _, err := Fuse(sys, cube, Options{Workers: 0}); !errors.Is(err, ErrBadOptions) {
 		t.Fatalf("Workers=0: %v", err)
 	}
-	if _, err := NewJob(sys, cube, Options{Workers: 1, Replication: -1}); !errors.Is(err, ErrBadOptions) {
+	if _, err := Fuse(sys, cube, Options{Workers: 1, Replication: -1}); !errors.Is(err, ErrBadOptions) {
 		t.Fatalf("Replication=-1: %v", err)
 	}
-	if _, err := NewJob(sys, cube, Options{Workers: 1, Components: 2}); !errors.Is(err, ErrBadOptions) {
+	if _, err := Fuse(sys, cube, Options{Workers: 1, Components: 2}); !errors.Is(err, ErrBadOptions) {
 		t.Fatalf("Components=2: %v", err)
 	}
 	bad := &hsi.Cube{Width: 1, Height: 1, Bands: 1}
-	if _, err := NewJob(sys, bad, Options{Workers: 1}); err == nil {
+	if _, err := Fuse(sys, bad, Options{Workers: 1}); err == nil {
 		t.Fatal("invalid cube accepted")
 	}
 }

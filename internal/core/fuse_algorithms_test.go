@@ -170,7 +170,7 @@ func TestUnknownAlgorithmRejected(t *testing.T) {
 	if _, err := Sequential(cube, opts); !errors.Is(err, ErrBadOptions) {
 		t.Fatalf("Sequential: %v", err)
 	}
-	if _, err := NewJob(scplib.NewRealSystem(), cube, opts); !errors.Is(err, ErrBadOptions) {
-		t.Fatalf("NewJob: %v", err)
+	if _, err := Fuse(scplib.NewRealSystem(), cube, opts); !errors.Is(err, ErrBadOptions) {
+		t.Fatalf("Fuse: %v", err)
 	}
 }

@@ -58,21 +58,12 @@ type Result struct {
 	completed bool
 }
 
-// managerBody drives the 8 steps from the manager thread.
-func managerBody(rt *resilient.Runtime, src CubeSource, opts Options, res *Result) resilient.RBody {
-	return func(env resilient.REnv) error {
-		defer rt.Shutdown()
-		return runManager(env, src, opts, res)
-	}
-}
-
 // runManager drives the 8-step fusion protocol from env against workers
 // with logical IDs 1..opts.Workers, filling res — the manager thread of
-// every job, dedicated (NewJobSource) or started on a shared system
-// (StartJob). The decomposition is a function of the source's shape
-// alone, and tiles are pulled on demand, so a streamed scene run is
-// bit-identical to the in-memory run over the same samples while the
-// manager's working set stays bounded by the tiles in flight.
+// every job StartJob wires. The decomposition is a function of the
+// source's shape alone, and tiles are pulled on demand, so a streamed
+// scene run is bit-identical to the in-memory run over the same samples
+// while the manager's working set stays bounded by the tiles in flight.
 func runManager(env resilient.REnv, src CubeSource, opts Options, res *Result) error {
 	m := &manager{env: env, src: src, opts: opts.withDefaults(), res: res}
 	m.width, m.height, m.bands = src.Shape()

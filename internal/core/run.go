@@ -9,7 +9,6 @@ import (
 	"resilientfusion/internal/hsi"
 	"resilientfusion/internal/linalg"
 	"resilientfusion/internal/perfmodel"
-	"resilientfusion/internal/resilient"
 	"resilientfusion/internal/scplib"
 	"resilientfusion/internal/spectral"
 	"resilientfusion/internal/telemetry"
@@ -125,7 +124,7 @@ func (o Options) Canonical() Options { return o.withDefaults() }
 // SharedKernelParallelism divides the host's parallelism among workers
 // that compute concurrently: each gets max(1, GOMAXPROCS/workers). It is
 // the default Options.Parallelism policy of every path that runs worker
-// kernels side by side (NewJob here, the service pool's Submit).
+// kernels side by side (StartJob here, the service pool's Submit).
 func SharedKernelParallelism(workers int) int {
 	p := linalg.MaxWorkers() / workers
 	if p < 1 {
@@ -177,128 +176,18 @@ func (o Options) ResultKey() string {
 	return key
 }
 
-// Job is a configured fusion run bound to a system. Failure plans may be
-// armed against Runtime() before calling Run.
-type Job struct {
-	sys  scplib.System
-	rt   *resilient.Runtime
-	opts Options
-	res  *Result
-}
-
-// NewJob wires the manager and workers onto the system and starts the
-// resiliency runtime (threads begin executing when the system runs).
-//
-// Node layout: node 0 hosts the manager (the paper's sensor machine) and
-// the guardian; worker i's primary replica runs on node i, and replica k
-// on node 1+((i-1+k) mod Workers) — with replication 2 every worker node
-// hosts exactly two replicas, which is how the paper's "factor of two"
-// replication cost arises.
-func NewJob(sys scplib.System, cube *hsi.Cube, opts Options) (*Job, error) {
+// Fuse fuses an in-memory cube on a dedicated system: a fresh
+// RealSystem, or simnet's SimSystem, that hosts only this job.
+func Fuse(sys scplib.System, cube *hsi.Cube, opts Options) (*Result, error) {
 	if err := cube.Validate(); err != nil {
 		return nil, err
 	}
-	return NewJobSource(sys, MemSource(cube), opts)
+	return FuseSource(sys, MemSource(cube), opts)
 }
 
-// NewJobSource is NewJob fed by a CubeSource instead of an in-memory
-// cube: the manager pulls row tiles on demand (internal/scene's Tiler
-// streams them off disk), so scenes larger than memory fuse with the
-// manager's working set bounded by the tiles in flight. The result is
-// bit-identical to NewJob over the fully-loaded cube.
-func NewJobSource(sys scplib.System, src CubeSource, opts Options) (*Job, error) {
-	opts = opts.withDefaults()
-	if err := validateSource(src); err != nil {
-		return nil, err
-	}
-	if opts.Workers < 1 {
-		return nil, fmt.Errorf("%w: Workers=%d", ErrBadOptions, opts.Workers)
-	}
-	if opts.Replication < 1 {
-		return nil, fmt.Errorf("%w: Replication=%d", ErrBadOptions, opts.Replication)
-	}
-	if opts.Components < 3 {
-		return nil, fmt.Errorf("%w: need >=3 components for color mapping", ErrBadOptions)
-	}
-	if _, ok := fuse.Lookup(opts.Algorithm); !ok {
-		return nil, fmt.Errorf("%w: unknown algorithm %q (have %v)",
-			ErrBadOptions, opts.Algorithm, fuse.Names())
-	}
-
-	// Workers compute concurrently; share the host's parallelism among
-	// them instead of letting every worker fan out to GOMAXPROCS.
-	// Result-invariant (fixed shard grid), so Sequential still matches.
-	if opts.Parallelism == 0 {
-		opts.Parallelism = SharedKernelParallelism(opts.Workers)
-	}
-
-	rcfg := resilient.Config{
-		Nodes:           opts.Workers + 1,
-		Replication:     opts.Replication,
-		HeartbeatPeriod: opts.HeartbeatPeriod,
-		FailTimeout:     opts.FailTimeout,
-		Regenerate:      opts.Regenerate,
-		GuardianNode:    0,
-	}
-	rt, err := resilient.New(sys, rcfg)
-	if err != nil {
-		return nil, err
-	}
-	rt.SetTrace(opts.Trace)
-	res := &Result{}
-	if err := rt.AddSingleton(ManagerID, "manager", 0, managerBody(rt, src, opts, res)); err != nil {
-		return nil, err
-	}
-	for w := 1; w <= opts.Workers; w++ {
-		lid := resilient.LogicalID(w)
-		name := fmt.Sprintf("worker%d", w)
-		body := workerBody(ManagerID, opts.Algorithm, opts.Threshold, opts.Parallelism, opts.Cost)
-		if opts.Replication == 1 {
-			if err := rt.AddSingleton(lid, name, w, body); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		placements := make([]int, opts.Replication)
-		for k := 0; k < opts.Replication; k++ {
-			placements[k] = 1 + (w-1+k)%opts.Workers
-		}
-		if err := rt.AddGroup(lid, name, placements, body); err != nil {
-			return nil, err
-		}
-	}
-	if err := rt.Start(); err != nil {
-		return nil, err
-	}
-	return &Job{sys: sys, rt: rt, opts: opts, res: res}, nil
-}
-
-// Runtime exposes the resiliency runtime for failure injection.
-func (j *Job) Runtime() *resilient.Runtime { return j.rt }
-
-// Run drives the system to completion and returns the fusion result.
-func (j *Job) Run() (*Result, error) {
-	if err := j.sys.Run(); err != nil {
-		return nil, err
-	}
-	if !j.res.completed {
-		return nil, errors.New("core: fusion did not complete")
-	}
-	return j.res, nil
-}
-
-// Fuse is the one-call convenience API: build a job and run it.
-func Fuse(sys scplib.System, cube *hsi.Cube, opts Options) (*Result, error) {
-	job, err := NewJob(sys, cube, opts)
-	if err != nil {
-		return nil, err
-	}
-	return job.Run()
-}
-
-// FuseSource is Fuse over a streaming tile source.
+// FuseSource is Fuse over a streaming tile source: StartJob, then Run.
 func FuseSource(sys scplib.System, src CubeSource, opts Options) (*Result, error) {
-	job, err := NewJobSource(sys, src, opts)
+	job, err := StartJob(sys, src, opts, 0)
 	if err != nil {
 		return nil, err
 	}

@@ -22,7 +22,7 @@ func TestWithDefaultsPrefetch(t *testing.T) {
 			t.Errorf("withDefaults Prefetch=%d: got %d, want %d", c.in, got, c.want)
 		}
 		// Canonicalization must be idempotent: the manager re-canonicalizes
-		// options that NewJob and the service pool already canonicalized,
+		// options that StartJob and the service pool already canonicalized,
 		// and "overlap disabled" must survive the second pass.
 		once := Options{Prefetch: c.in}.withDefaults()
 		if twice := once.withDefaults(); twice.Prefetch != once.Prefetch {

@@ -53,7 +53,7 @@ func (s memSource) Tile(rr hsi.RowRange) (*hsi.Cube, error) {
 	return sub.Cube, nil
 }
 
-// validateSource checks a source's geometry the way NewJob validates a
+// validateSource checks a source's geometry the way Fuse validates a
 // cube.
 func validateSource(src CubeSource) error {
 	w, h, b := src.Shape()

@@ -57,7 +57,7 @@ var ErrWire = errors.New("core: malformed wire payload")
 // exact size and writes the fields in place behind whatever dst already
 // holds, so a sender that starts from resilient.NewFrame gets its message
 // laid out behind reserved header room and the layers below never copy it
-// (EncodeX is AppendX onto nil). Float payloads — sub-cube samples,
+// (AppendX onto nil gives a standalone exact-size buffer). Float payloads — sub-cube samples,
 // unique-set vectors, covariance matrices, the transform — are encoded
 // and decoded in bulk by tight loops, one pass over the bytes. Vector
 // sets additionally decode into a single staging backing (two
@@ -184,9 +184,6 @@ func AppendScreenReq(dst []byte, req *ScreenReq) ([]byte, error) {
 	return req.Cube.AppendTo(dst)
 }
 
-// EncodeScreenReq serializes a screening request.
-func EncodeScreenReq(req *ScreenReq) ([]byte, error) { return AppendScreenReq(nil, req) }
-
 // DecodeScreenReq parses a screening request.
 func DecodeScreenReq(p []byte) (*ScreenReq, error) {
 	r := &reader{b: p}
@@ -258,10 +255,6 @@ func AppendScreenResp(dst []byte, resp *ScreenResp) []byte {
 	return appendVectors(dst, resp.Vectors)
 }
 
-// EncodeScreenResp serializes a screening response into one exact-size
-// buffer.
-func EncodeScreenResp(resp *ScreenResp) []byte { return AppendScreenResp(nil, resp) }
-
 // DecodeScreenResp parses a screening response; the vectors are views
 // over one staging backing.
 func DecodeScreenResp(p []byte) (*ScreenResp, error) {
@@ -321,10 +314,6 @@ func AppendCovReq(dst []byte, req *CovReq) []byte {
 	return appendVectors(dst, req.Vectors)
 }
 
-// EncodeCovReq serializes a covariance request into one exact-size
-// buffer.
-func EncodeCovReq(req *CovReq) []byte { return AppendCovReq(nil, req) }
-
 // DecodeCovReq parses a covariance request; the vectors are views over
 // one staging backing.
 func DecodeCovReq(p []byte) (*CovReq, error) {
@@ -371,10 +360,6 @@ func AppendCovResp(dst []byte, resp *CovResp) []byte {
 	dst = appendU32(dst, uint32(resp.Sum.Rows))
 	return appendF64s(dst, resp.Sum.Data)
 }
-
-// EncodeCovResp serializes a covariance response into one exact-size
-// buffer.
-func EncodeCovResp(resp *CovResp) []byte { return AppendCovResp(nil, resp) }
 
 // DecodeCovResp parses a covariance response.
 func DecodeCovResp(p []byte) (*CovResp, error) {
@@ -435,9 +420,6 @@ func AppendTransformReq(dst []byte, req *TransformReq) ([]byte, error) {
 	}
 	return dst, nil
 }
-
-// EncodeTransformReq serializes a transform request.
-func EncodeTransformReq(req *TransformReq) ([]byte, error) { return AppendTransformReq(nil, req) }
 
 // DecodeTransformReq parses a transform request.
 func DecodeTransformReq(p []byte) (*TransformReq, error) {
@@ -526,9 +508,6 @@ func AppendTransformResp(dst []byte, resp *TransformResp) []byte {
 	return append(appendSlabHeader(dst, resp.Range, resp.Width), resp.RGB...)
 }
 
-// EncodeTransformResp serializes a transform response.
-func EncodeTransformResp(resp *TransformResp) []byte { return AppendTransformResp(nil, resp) }
-
 // newSlabFrame starts a transform (or fuse) response frame for a tile of
 // the given pixel count: the header is in place and rgb views the slab
 // bytes behind it, so the kernel writes the reply where it will be sent
@@ -578,9 +557,6 @@ func DecodeTransformResp(p []byte) (*TransformResp, error) {
 
 // AppendCacheMiss appends a serialized cache-miss notice to dst.
 func AppendCacheMiss(dst []byte, index int) []byte { return appendU32(dst, uint32(index)) }
-
-// EncodeCacheMiss serializes a cache-miss notice.
-func EncodeCacheMiss(index int) []byte { return AppendCacheMiss(nil, index) }
 
 // DecodeCacheMiss parses a cache-miss notice.
 func DecodeCacheMiss(p []byte) (int, error) {

@@ -56,7 +56,7 @@ func TestScreenRespBulkParity(t *testing.T) {
 		for i := range vs {
 			vs[i] = hardVector(rng, tc.n)
 		}
-		got, err := DecodeScreenResp(EncodeScreenResp(&ScreenResp{Index: 9, Vectors: vs}))
+		got, err := DecodeScreenResp(AppendScreenResp(nil, &ScreenResp{Index: 9, Vectors: vs}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,8 +80,8 @@ func TestScreenRespStagedVectorsParity(t *testing.T) {
 	for i, v := range staged {
 		standalone[i] = append(linalg.Vector(nil), v...)
 	}
-	a := EncodeScreenResp(&ScreenResp{Index: 2, Vectors: staged})
-	b := EncodeScreenResp(&ScreenResp{Index: 2, Vectors: standalone})
+	a := AppendScreenResp(nil, &ScreenResp{Index: 2, Vectors: staged})
+	b := AppendScreenResp(nil, &ScreenResp{Index: 2, Vectors: standalone})
 	if len(a) != len(b) {
 		t.Fatalf("lengths differ: %d vs %d", len(a), len(b))
 	}
@@ -99,7 +99,7 @@ func TestCovReqBulkParity(t *testing.T) {
 	for i := range vs {
 		vs[i] = hardVector(rng, 130)
 	}
-	got, err := DecodeCovReq(EncodeCovReq(&CovReq{Part: 4, Mean: mean, Vectors: vs}))
+	got, err := DecodeCovReq(AppendCovReq(nil, &CovReq{Part: 4, Mean: mean, Vectors: vs}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestCovRespBulkParity(t *testing.T) {
 	for i := range m.Data {
 		m.Data[i] = math.Float64frombits(rng.Uint64())
 	}
-	got, err := DecodeCovResp(EncodeCovResp(&CovResp{Part: 3, Sum: m}))
+	got, err := DecodeCovResp(AppendCovResp(nil, &CovResp{Part: 3, Sum: m}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,19 +141,19 @@ func TestCovRespBulkParity(t *testing.T) {
 // Truncated bulk payloads must error cleanly, not over-read.
 func TestBulkDecodeTruncation(t *testing.T) {
 	vs := []linalg.Vector{{1, 2, 3}, {4, 5, 6}}
-	enc := EncodeScreenResp(&ScreenResp{Index: 0, Vectors: vs})
+	enc := AppendScreenResp(nil, &ScreenResp{Index: 0, Vectors: vs})
 	for _, cut := range []int{1, 8, 13, len(enc) - 1} {
 		if _, err := DecodeScreenResp(enc[:len(enc)-cut]); err == nil {
 			t.Fatalf("cut %d accepted", cut)
 		}
 	}
-	encCov := EncodeCovReq(&CovReq{Part: 0, Mean: linalg.Vector{1, 2}, Vectors: vs[:0]})
+	encCov := AppendCovReq(nil, &CovReq{Part: 0, Mean: linalg.Vector{1, 2}, Vectors: vs[:0]})
 	if _, err := DecodeCovReq(encCov[:len(encCov)-3]); err == nil {
 		t.Fatal("truncated cov req accepted")
 	}
 }
 
-func BenchmarkEncodeScreenResp(b *testing.B) {
+func BenchmarkAppendScreenResp(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	vs := make([]linalg.Vector, 64)
 	for i := range vs {
@@ -166,7 +166,7 @@ func BenchmarkEncodeScreenResp(b *testing.B) {
 	resp := &ScreenResp{Index: 1, Vectors: vs}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = EncodeScreenResp(resp)
+		_ = AppendScreenResp(nil, resp)
 	}
 }
 
@@ -180,7 +180,7 @@ func BenchmarkDecodeScreenResp(b *testing.B) {
 		}
 		vs[i] = v
 	}
-	enc := EncodeScreenResp(&ScreenResp{Index: 1, Vectors: vs})
+	enc := AppendScreenResp(nil, &ScreenResp{Index: 1, Vectors: vs})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := DecodeScreenResp(enc); err != nil {

@@ -36,28 +36,28 @@ func FuzzWireDecoders(f *testing.F) {
 	}
 	cube.Wavelengths = []float64{500, 600}
 
-	if seed, err := EncodeScreenReq(&ScreenReq{
+	if seed, err := AppendScreenReq(nil, &ScreenReq{
 		Range: hsi.RowRange{Index: 1, Y0: 0, Y1: 2},
 		Cube:  cube,
 	}); err == nil {
 		f.Add(uint8(fuzzScreenReq), seed)
 	}
-	f.Add(uint8(fuzzScreenResp), EncodeScreenResp(&ScreenResp{
+	f.Add(uint8(fuzzScreenResp), AppendScreenResp(nil, &ScreenResp{
 		Index:   2,
 		Stats:   spectral.Stats{Scanned: 6, Comparisons: 12, SeqComparisons: 15},
 		Vectors: []linalg.Vector{{1, 2}, {3, 4}},
 	}))
-	f.Add(uint8(fuzzCovReq), EncodeCovReq(&CovReq{
+	f.Add(uint8(fuzzCovReq), AppendCovReq(nil, &CovReq{
 		Part:    1,
 		Mean:    linalg.Vector{1, 2},
 		Vectors: []linalg.Vector{{0.5, -0.5}, {2, 4}},
 	}))
-	f.Add(uint8(fuzzCovResp), EncodeCovResp(&CovResp{
+	f.Add(uint8(fuzzCovResp), AppendCovResp(nil, &CovResp{
 		Part: 3,
 		Sum:  linalg.NewMatrixFrom(2, 2, []float64{1, 2, 2, 5}),
 	}))
 	for _, withCube := range []*hsi.Cube{nil, cube} {
-		if seed, err := EncodeTransformReq(&TransformReq{
+		if seed, err := AppendTransformReq(nil, &TransformReq{
 			Range:     hsi.RowRange{Index: 0, Y0: 0, Y1: 2},
 			Mean:      linalg.Vector{1, 2},
 			Transform: linalg.NewMatrixFrom(1, 2, []float64{0.6, 0.8}),
@@ -67,12 +67,12 @@ func FuzzWireDecoders(f *testing.F) {
 			f.Add(uint8(fuzzTransformReq), seed)
 		}
 	}
-	f.Add(uint8(fuzzTransformResp), EncodeTransformResp(&TransformResp{
+	f.Add(uint8(fuzzTransformResp), AppendTransformResp(nil, &TransformResp{
 		Range: hsi.RowRange{Index: 0, Y0: 0, Y1: 2},
 		Width: 3,
 		RGB:   bytes.Repeat([]byte{10, 20, 30}, 6),
 	}))
-	f.Add(uint8(fuzzCacheMiss), EncodeCacheMiss(7))
+	f.Add(uint8(fuzzCacheMiss), AppendCacheMiss(nil, 7))
 	f.Add(uint8(fuzzScreenReq), []byte{})
 	f.Add(uint8(fuzzScreenResp), []byte{1, 2, 3})
 
@@ -95,81 +95,81 @@ func FuzzWireDecoders(f *testing.F) {
 			if err != nil {
 				return
 			}
-			enc, encErr := EncodeScreenReq(v)
+			enc, encErr := AppendScreenReq(nil, v)
 			check(enc, encErr, func(p []byte) ([]byte, error) {
 				v2, err := DecodeScreenReq(p)
 				if err != nil {
 					return nil, err
 				}
-				return EncodeScreenReq(v2)
+				return AppendScreenReq(nil, v2)
 			})
 		case fuzzScreenResp:
 			v, err := DecodeScreenResp(data)
 			if err != nil {
 				return
 			}
-			check(EncodeScreenResp(v), nil, func(p []byte) ([]byte, error) {
+			check(AppendScreenResp(nil, v), nil, func(p []byte) ([]byte, error) {
 				v2, err := DecodeScreenResp(p)
 				if err != nil {
 					return nil, err
 				}
-				return EncodeScreenResp(v2), nil
+				return AppendScreenResp(nil, v2), nil
 			})
 		case fuzzCovReq:
 			v, err := DecodeCovReq(data)
 			if err != nil {
 				return
 			}
-			check(EncodeCovReq(v), nil, func(p []byte) ([]byte, error) {
+			check(AppendCovReq(nil, v), nil, func(p []byte) ([]byte, error) {
 				v2, err := DecodeCovReq(p)
 				if err != nil {
 					return nil, err
 				}
-				return EncodeCovReq(v2), nil
+				return AppendCovReq(nil, v2), nil
 			})
 		case fuzzCovResp:
 			v, err := DecodeCovResp(data)
 			if err != nil {
 				return
 			}
-			check(EncodeCovResp(v), nil, func(p []byte) ([]byte, error) {
+			check(AppendCovResp(nil, v), nil, func(p []byte) ([]byte, error) {
 				v2, err := DecodeCovResp(p)
 				if err != nil {
 					return nil, err
 				}
-				return EncodeCovResp(v2), nil
+				return AppendCovResp(nil, v2), nil
 			})
 		case fuzzTransformReq:
 			v, err := DecodeTransformReq(data)
 			if err != nil {
 				return
 			}
-			enc, encErr := EncodeTransformReq(v)
+			enc, encErr := AppendTransformReq(nil, v)
 			check(enc, encErr, func(p []byte) ([]byte, error) {
 				v2, err := DecodeTransformReq(p)
 				if err != nil {
 					return nil, err
 				}
-				return EncodeTransformReq(v2)
+				return AppendTransformReq(nil, v2)
 			})
 		case fuzzTransformResp:
 			v, err := DecodeTransformResp(data)
 			if err != nil {
 				return
 			}
-			check(EncodeTransformResp(v), nil, func(p []byte) ([]byte, error) {
+			check(AppendTransformResp(nil, v), nil, func(p []byte) ([]byte, error) {
 				v2, err := DecodeTransformResp(p)
 				if err != nil {
 					return nil, err
 				}
-				return EncodeTransformResp(v2), nil
+				return AppendTransformResp(nil, v2), nil
 			})
 		case fuzzCacheMiss:
 			idx, err := DecodeCacheMiss(data)
 			if err != nil {
 				return
 			}
-			enc := EncodeCacheMiss(idx)
+			enc := AppendCacheMiss(nil, idx)
 			idx2, err := DecodeCacheMiss(enc)
 			if err != nil || idx2 != idx {
 				t.Fatalf("cache-miss round trip: idx %d -> %d, err %v", idx, idx2, err)

@@ -119,7 +119,7 @@ func TestWireGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Onto nil (which is what EncodeX does), behind a frame's
+			// Onto nil (a standalone buffer), behind a frame's
 			// headroom (how every message is really sent), and behind an
 			// arbitrary prefix.
 			for _, prefix := range [][]byte{nil, resilient.NewFrame(0), []byte("prefix")} {
@@ -137,7 +137,7 @@ func TestWireGolden(t *testing.T) {
 }
 
 // TestSlabFrameGolden pins the worker's in-place reply: a slab written
-// through newSlabFrame's view is byte-identical to EncodeTransformResp of
+// through newSlabFrame's view is byte-identical to AppendTransformResp of
 // the same slab.
 func TestSlabFrameGolden(t *testing.T) {
 	rr := hsi.RowRange{Index: 3, Y0: 40, Y1: 42}
@@ -155,7 +155,7 @@ func TestSlabFrameGolden(t *testing.T) {
 func TestWireCubeBitsSurviveRoundTrip(t *testing.T) {
 	for _, wl := range []bool{true, false} {
 		src := goldenCube(wl)
-		enc, err := EncodeScreenReq(&ScreenReq{Range: hsi.RowRange{Y1: 2}, Cube: src})
+		enc, err := AppendScreenReq(nil, &ScreenReq{Range: hsi.RowRange{Y1: 2}, Cube: src})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -25,7 +25,7 @@ func smallCube(t *testing.T, w, h, b int, seed int64) *hsi.Cube {
 func TestScreenReqRoundTrip(t *testing.T) {
 	cube := smallCube(t, 4, 3, 5, 1)
 	req := &ScreenReq{Range: hsi.RowRange{Index: 7, Y0: 10, Y1: 13}, Cube: cube}
-	b, err := EncodeScreenReq(req)
+	b, err := AppendScreenReq(nil, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestScreenRespRoundTrip(t *testing.T) {
 		Stats:   spectral.Stats{Scanned: 64, Comparisons: 1 << 40, SeqComparisons: 1<<40 - 7},
 		Vectors: []linalg.Vector{{1, 2}, {3, 4}, {5, 6}},
 	}
-	got, err := DecodeScreenResp(EncodeScreenResp(resp))
+	got, err := DecodeScreenResp(AppendScreenResp(nil, resp))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestScreenRespRoundTrip(t *testing.T) {
 	}
 	// Empty unique set (empty sub-cube) is legal.
 	empty := &ScreenResp{Index: 1}
-	got, err = DecodeScreenResp(EncodeScreenResp(empty))
+	got, err = DecodeScreenResp(AppendScreenResp(nil, empty))
 	if err != nil || len(got.Vectors) != 0 {
 		t.Fatalf("empty roundtrip: %v %v", got, err)
 	}
@@ -86,7 +86,7 @@ func TestCovReqRespRoundTrip(t *testing.T) {
 		Mean:    linalg.Vector{1, 2, 3},
 		Vectors: []linalg.Vector{{4, 5, 6}, {7, 8, 9}},
 	}
-	got, err := DecodeCovReq(EncodeCovReq(req))
+	got, err := DecodeCovReq(AppendCovReq(nil, req))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestCovReqRespRoundTrip(t *testing.T) {
 
 	m := linalg.NewMatrixFrom(2, 2, []float64{1, 2, 2, 4})
 	resp := &CovResp{Part: 1, Sum: m}
-	gotR, err := DecodeCovResp(EncodeCovResp(resp))
+	gotR, err := DecodeCovResp(AppendCovResp(nil, resp))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestTransformReqRoundTrip(t *testing.T) {
 		Transform: tr,
 		Stretches: []colormap.Stretch{{Center: 0, Scale: 1}, {Center: 1, Scale: 2}, {Center: 2, Scale: 3}},
 	}
-	b, err := EncodeTransformReq(req)
+	b, err := AppendTransformReq(nil, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestTransformReqRoundTrip(t *testing.T) {
 
 	// With data attached.
 	req.Cube = smallCube(t, 4, 2, 4, 2)
-	b, err = EncodeTransformReq(req)
+	b, err = AppendTransformReq(nil, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestTransformRespRoundTrip(t *testing.T) {
 	for i := range resp.RGB {
 		resp.RGB[i] = byte(i)
 	}
-	got, err := DecodeTransformResp(EncodeTransformResp(resp))
+	got, err := DecodeTransformResp(AppendTransformResp(nil, resp))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestTransformRespRoundTrip(t *testing.T) {
 }
 
 func TestCacheMissRoundTrip(t *testing.T) {
-	idx, err := DecodeCacheMiss(EncodeCacheMiss(9))
+	idx, err := DecodeCacheMiss(AppendCacheMiss(nil, 9))
 	if err != nil || idx != 9 {
 		t.Fatalf("%d %v", idx, err)
 	}

@@ -198,7 +198,10 @@ func RunOnCube(cfg RunConfig, cube *hsi.Cube) (*RunOutcome, error) {
 		HeartbeatPeriod: cfg.Scale.HeartbeatPeriod,
 		RequestTimeout:  timeout,
 	}
-	job, err := core.NewJob(sys, cube, opts)
+	if err := cube.Validate(); err != nil {
+		return nil, err
+	}
+	job, err := core.StartJob(sys, core.MemSource(cube), opts, 0)
 	if err != nil {
 		return nil, err
 	}

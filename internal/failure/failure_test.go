@@ -60,7 +60,7 @@ func newSimHarness(t *testing.T, regenerate bool) *simHarness {
 			}
 		}
 	}
-	if err := rt.AddGroup(workerLID, "worker", []int{1, 2}, body); err != nil {
+	if err := rt.Add(workerLID, "worker", []int{1, 2}, true, body, "", nil); err != nil {
 		t.Fatal(err)
 	}
 	return h
@@ -201,7 +201,7 @@ func TestArmReal(t *testing.T) {
 			}
 		}
 	}
-	if err := rt.AddGroup(workerLID, "worker", []int{1, 2}, body); err != nil {
+	if err := rt.Add(workerLID, "worker", []int{1, 2}, true, body, "", nil); err != nil {
 		t.Fatal(err)
 	}
 

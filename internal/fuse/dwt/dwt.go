@@ -207,9 +207,12 @@ func activity(coeffs []float64, stride int, r region) float64 {
 			v := coeffs[y*stride+x]
 			d := v - mean
 			variance += d * d
+			// |v| <= maxAbs, so f is at most entropyBins-1 or NaN (0/0, a
+			// NaN coefficient, Inf/Inf); NaN fails f > 0 and never
+			// reaches int().
 			bin := 0
-			if maxAbs > 0 {
-				bin = int(math.Abs(v) / maxAbs * (entropyBins - 1))
+			if f := math.Abs(v) / maxAbs * (entropyBins - 1); f > 0 {
+				bin = int(f)
 			}
 			hist[bin]++
 		}

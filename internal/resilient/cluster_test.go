@@ -84,10 +84,10 @@ func TestEpochBumpDedupeRealRuntime(t *testing.T) {
 		completed = true
 		return nil
 	}
-	if err := rt.AddSingleton(mgrLID, "manager", 0, mgr); err != nil {
+	if err := rt.Add(mgrLID, "manager", []int{0}, false, mgr, "", nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := rt.AddGroup(1, "worker", []int{1, 2}, workerBody); err != nil {
+	if err := rt.Add(1, "worker", []int{1, 2}, true, workerBody, "", nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := rt.Start(); err != nil {
@@ -167,10 +167,10 @@ func clusterHarness(t *testing.T, workers int, cfg Config) (*scplib.ClusterSyste
 func TestResilientOverCluster(t *testing.T) {
 	_, rt, _ := clusterHarness(t, 2, fastRealConfig(3))
 	res := &managerResult{}
-	if err := rt.AddSingleton(mgrLID, "manager", 0, managerBody(rt, 1, 6, 20, res)); err != nil {
+	if err := rt.Add(mgrLID, "manager", []int{0}, false, echoManager(rt, 1, 6, 20, res), "", nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := rt.AddGroupRemote(1, "worker", []int{1, 2}, workerBody, "echo", nil); err != nil {
+	if err := rt.Add(1, "worker", []int{1, 2}, true, workerBody, "echo", nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := rt.Start(); err != nil {
@@ -214,10 +214,10 @@ func TestResilientClusterNodeLoss(t *testing.T) {
 	}
 	_, rt, ws := clusterHarness(t, 3, cfg)
 	res := &managerResult{}
-	if err := rt.AddSingleton(mgrLID, "manager", 0, managerBody(rt, 1, 8, 40, res)); err != nil {
+	if err := rt.Add(mgrLID, "manager", []int{0}, false, echoManager(rt, 1, 8, 40, res), "", nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := rt.AddGroupRemote(1, "worker", []int{1, 2}, workerBody, "echo", nil); err != nil {
+	if err := rt.Add(1, "worker", []int{1, 2}, true, workerBody, "echo", nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := rt.Start(); err != nil {
@@ -328,10 +328,10 @@ func TestPhysBaseOffsetsAllIDs(t *testing.T) {
 		rt  *Runtime
 		res *managerResult
 	}{{a, resA}, {b, resB}} {
-		if err := pair.rt.AddSingleton(mgrLID, fmt.Sprintf("manager%d", i), 0, managerBody(pair.rt, 1, 3, 20, pair.res)); err != nil {
+		if err := pair.rt.Add(mgrLID, fmt.Sprintf("manager%d", i), []int{0}, false, echoManager(pair.rt, 1, 3, 20, pair.res), "", nil); err != nil {
 			t.Fatal(err)
 		}
-		if err := pair.rt.AddGroup(1, fmt.Sprintf("worker%d", i), []int{1, 2}, workerBody); err != nil {
+		if err := pair.rt.Add(1, fmt.Sprintf("worker%d", i), []int{1, 2}, true, workerBody, "", nil); err != nil {
 			t.Fatal(err)
 		}
 		if err := pair.rt.Start(); err != nil {

@@ -53,10 +53,10 @@ func TestSendFrameSharesOneBuffer(t *testing.T) {
 		rt.Shutdown()
 		return nil
 	}
-	if err := rt.AddSingleton(mgrLID, "manager", 0, manager); err != nil {
+	if err := rt.Add(mgrLID, "manager", []int{0}, false, manager, "", nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := rt.AddGroup(1, "worker", []int{1, 2}, worker); err != nil {
+	if err := rt.Add(1, "worker", []int{1, 2}, true, worker, "", nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := rt.Start(); err != nil {

@@ -41,7 +41,7 @@ func TestMigrateValidation(t *testing.T) {
 		t.Fatalf("migrate before start: %v", err)
 	}
 	var done bool
-	if err := h.rt.AddSingleton(mgrLID, "m", 0, func(env REnv) error {
+	if err := h.rt.Add(mgrLID, "m", []int{0}, false, func(env REnv) error {
 		defer h.rt.Shutdown()
 		// Unknown group.
 		if err := h.rt.MigrateReplica(42, 0, 1); !errors.Is(err, ErrUnknownGroup) {
@@ -56,10 +56,10 @@ func TestMigrateValidation(t *testing.T) {
 		}
 		done = true
 		return nil
-	}); err != nil {
+	}, "", nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.rt.AddGroup(1, "worker", []int{1, 2}, workerBody); err != nil {
+	if err := h.rt.Add(1, "worker", []int{1, 2}, true, workerBody, "", nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := h.rt.Start(); err != nil {
@@ -78,7 +78,7 @@ func TestMigrateDeadReplicaRejected(t *testing.T) {
 	cfg.Regenerate = false
 	h := newHarness(t, 5, cfg)
 	var migErr error
-	if err := h.rt.AddSingleton(mgrLID, "m", 0, func(env REnv) error {
+	if err := h.rt.Add(mgrLID, "m", []int{0}, false, func(env REnv) error {
 		defer h.rt.Shutdown()
 		// Kill replica 0, wait for detection, then try to migrate it.
 		h.rt.KillReplica(1, 0)
@@ -87,10 +87,10 @@ func TestMigrateDeadReplicaRejected(t *testing.T) {
 		}
 		migErr = h.rt.MigrateReplica(1, 0, 3)
 		return nil
-	}); err != nil {
+	}, "", nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.rt.AddGroup(1, "worker", []int{1, 2}, workerBody); err != nil {
+	if err := h.rt.Add(1, "worker", []int{1, 2}, true, workerBody, "", nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := h.rt.Start(); err != nil {

@@ -116,9 +116,9 @@ type RBody func(env REnv) error
 type Config struct {
 	// Nodes is the number of cluster nodes available for placement.
 	Nodes int
-	// Replication is the default replication level for AddGroup when the
-	// caller does not give explicit placements (level 2 in the paper's
-	// evaluation).
+	// Replication is the replication level callers place replicas for
+	// (level 2 in the paper's evaluation); Add itself takes explicit
+	// placements.
 	Replication int
 	// HeartbeatPeriod is the replica heartbeat interval in seconds.
 	HeartbeatPeriod float64

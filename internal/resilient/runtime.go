@@ -10,8 +10,8 @@ import (
 )
 
 // Runtime layers resiliency over a scplib.System. Define the logical
-// configuration with AddSingleton/AddGroup, call Start to spawn the
-// guardian and all replicas, then drive the underlying system with Run.
+// configuration with Add, call Start to spawn the guardian and all
+// replicas, then drive the underlying system with Run.
 type Runtime struct {
 	sys scplib.System
 	cfg Config
@@ -60,7 +60,6 @@ type group struct {
 	lid       LogicalID
 	name      string
 	body      RBody
-	singleton bool
 	monitored bool
 	// epoch is the group's incarnation number: bumped when the group is
 	// regenerated with no surviving replica, so receivers reset the
@@ -162,43 +161,14 @@ func (rt *Runtime) Stats() Stats {
 	return s
 }
 
-// AddSingleton defines an unreplicated, unmonitored logical thread — the
-// paper's manager ("the sensor itself was not replicated").
-func (rt *Runtime) AddSingleton(lid LogicalID, name string, node int, body RBody) error {
-	return rt.add(lid, name, []int{node}, body, true)
-}
-
-// AddGroup defines a replicated logical thread with explicit per-replica
-// placement. Replication level is len(placements).
-func (rt *Runtime) AddGroup(lid LogicalID, name string, placements []int, body RBody) error {
-	return rt.add(lid, name, placements, body, false)
-}
-
-// AddGroupRemote is AddGroup for cluster systems: body remains the local
-// (node 0) form, and kind/args name a registered inner body so replicas
-// placed on worker nodes can be reconstructed in the worker process.
-func (rt *Runtime) AddGroupRemote(lid LogicalID, name string, placements []int, body RBody, kind string, args []byte) error {
-	return rt.addRemote(lid, name, placements, body, false, kind, args)
-}
-
-// AddSingletonRemote is AddSingleton for cluster systems, shippable like
-// AddGroupRemote's replicas.
-func (rt *Runtime) AddSingletonRemote(lid LogicalID, name string, node int, body RBody, kind string, args []byte) error {
-	return rt.addRemote(lid, name, []int{node}, body, true, kind, args)
-}
-
-func (rt *Runtime) addRemote(lid LogicalID, name string, placements []int, body RBody, singleton bool, kind string, args []byte) error {
-	if err := rt.add(lid, name, placements, body, singleton); err != nil {
-		return err
-	}
-	rt.mu.Lock()
-	g := rt.byLID[lid]
-	g.remoteKind, g.remoteArgs = kind, args
-	rt.mu.Unlock()
-	return nil
-}
-
-func (rt *Runtime) add(lid LogicalID, name string, placements []int, body RBody, singleton bool) error {
+// Add defines a logical thread with one replica per placement node.
+// A monitored group heartbeats to the guardian, which detects and
+// (with Config.Regenerate) replaces its failed replicas; an unmonitored
+// one is a bare thread — the paper's manager ("the sensor itself was not
+// replicated"). body is the local form; a non-empty kind names a
+// registered inner body (args its parameters) so replicas placed on
+// cluster worker nodes can be rebuilt in the worker process.
+func (rt *Runtime) Add(lid LogicalID, name string, placements []int, monitored bool, body RBody, kind string, args []byte) error {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	if rt.started {
@@ -216,12 +186,13 @@ func (rt *Runtime) add(lid LogicalID, name string, placements []int, body RBody,
 		}
 	}
 	g := &group{
-		lid:       lid,
-		name:      name,
-		body:      body,
-		singleton: singleton,
-		monitored: !singleton,
-		epoch:     1,
+		lid:        lid,
+		name:       name,
+		body:       body,
+		monitored:  monitored,
+		epoch:      1,
+		remoteKind: kind,
+		remoteArgs: args,
 	}
 	for _, n := range placements {
 		g.members = append(g.members, &member{phys: rt.allocPhysLocked(), node: n, alive: true})
@@ -312,7 +283,7 @@ func (rt *Runtime) spawnReplica(g *group, slot int, m *member, view *viewTable, 
 	w := newWrapper(rt, g, slot, view)
 	w.awaitRestore = awaitRestore
 	name := g.name
-	if !g.singleton {
+	if g.monitored {
 		name = fmt.Sprintf("%s/r%d", g.name, slot)
 	}
 	spec := scplib.ThreadSpec{

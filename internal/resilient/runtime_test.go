@@ -69,7 +69,7 @@ func workerBody(env REnv) error {
 	}
 }
 
-// managerBody drives `rounds` rounds over `workers` groups and verifies
+// echoManager drives `rounds` rounds over `workers` groups and verifies
 // exactly-once delivery of replies. It records observations into res.
 type managerResult struct {
 	replies   map[string]int // "worker/round" -> count
@@ -77,7 +77,7 @@ type managerResult struct {
 	completed bool
 }
 
-func managerBody(rt *Runtime, workers, rounds int, perRoundTimeout float64, res *managerResult) RBody {
+func echoManager(rt *Runtime, workers, rounds int, perRoundTimeout float64, res *managerResult) RBody {
 	return func(env REnv) error {
 		defer rt.Shutdown()
 		res.replies = make(map[string]int)
@@ -136,7 +136,7 @@ func managerBody(rt *Runtime, workers, rounds int, perRoundTimeout float64, res 
 func buildEcho(t *testing.T, h *harness, workers, rounds int, timeout float64) *managerResult {
 	t.Helper()
 	res := &managerResult{}
-	if err := h.rt.AddSingleton(mgrLID, "manager", 0, managerBody(h.rt, workers, rounds, timeout, res)); err != nil {
+	if err := h.rt.Add(mgrLID, "manager", []int{0}, false, echoManager(h.rt, workers, rounds, timeout, res), "", nil); err != nil {
 		t.Fatal(err)
 	}
 	level := h.rt.Config().Replication
@@ -145,7 +145,7 @@ func buildEcho(t *testing.T, h *harness, workers, rounds int, timeout float64) *
 		for k := 0; k < level; k++ {
 			placements[k] = 1 + (w-1+k)%(h.rt.Config().Nodes-1)
 		}
-		if err := h.rt.AddGroup(LogicalID(w), fmt.Sprintf("worker%d", w), placements, workerBody); err != nil {
+		if err := h.rt.Add(LogicalID(w), fmt.Sprintf("worker%d", w), placements, true, workerBody, "", nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -273,7 +273,7 @@ func TestGracefulExitNoRegeneration(t *testing.T) {
 	// guardian polls after the stop by having the manager linger.
 	h := newHarness(t, 4, DefaultConfig(4))
 	var done bool
-	if err := h.rt.AddSingleton(mgrLID, "manager", 0, func(env REnv) error {
+	if err := h.rt.Add(mgrLID, "manager", []int{0}, false, func(env REnv) error {
 		defer h.rt.Shutdown()
 		if err := env.Send(1, kindStop, nil); err != nil {
 			return err
@@ -284,10 +284,10 @@ func TestGracefulExitNoRegeneration(t *testing.T) {
 		}
 		done = true
 		return nil
-	}); err != nil {
+	}, "", nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.rt.AddGroup(1, "worker", []int{1, 2}, workerBody); err != nil {
+	if err := h.rt.Add(1, "worker", []int{1, 2}, true, workerBody, "", nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := h.rt.Start(); err != nil {
@@ -315,7 +315,7 @@ func groupLossRun(t *testing.T, gap float64) {
 	h := newHarness(t, 6, DefaultConfig(6))
 	isResp := func(m *RMessage) bool { return m.Kind == kindResp }
 	var completed bool
-	if err := h.rt.AddSingleton(mgrLID, "manager", 0, func(env REnv) error {
+	if err := h.rt.Add(mgrLID, "manager", []int{0}, false, func(env REnv) error {
 		defer h.rt.Shutdown()
 		if err := env.Send(1, kindReq, make([]byte, 4)); err != nil {
 			return err
@@ -340,10 +340,10 @@ func groupLossRun(t *testing.T, gap float64) {
 		}
 		completed = true
 		return nil
-	}); err != nil {
+	}, "", nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.rt.AddGroup(1, "worker", []int{1, 2}, workerBody); err != nil {
+	if err := h.rt.Add(1, "worker", []int{1, 2}, true, workerBody, "", nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := h.rt.Start(); err != nil {
@@ -409,19 +409,19 @@ func TestConfigValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	body := func(env REnv) error { return nil }
-	if err := rt.AddGroup(1, "g", nil, body); !errors.Is(err, ErrBadConfig) {
+	if err := rt.Add(1, "g", nil, true, body, "", nil); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("empty placements accepted: %v", err)
 	}
-	if err := rt.AddGroup(1, "g", []int{5}, body); !errors.Is(err, ErrBadConfig) {
+	if err := rt.Add(1, "g", []int{5}, true, body, "", nil); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("out-of-range node accepted: %v", err)
 	}
-	if err := rt.AddGroup(1, "g", []int{0}, nil); !errors.Is(err, ErrBadConfig) {
+	if err := rt.Add(1, "g", []int{0}, true, nil, "", nil); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("nil body accepted: %v", err)
 	}
-	if err := rt.AddGroup(1, "g", []int{0}, body); err != nil {
+	if err := rt.Add(1, "g", []int{0}, true, body, "", nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := rt.AddGroup(1, "g2", []int{0}, body); !errors.Is(err, ErrBadConfig) {
+	if err := rt.Add(1, "g2", []int{0}, true, body, "", nil); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("duplicate lid accepted: %v", err)
 	}
 	if err := rt.Start(); err != nil {
@@ -430,8 +430,8 @@ func TestConfigValidation(t *testing.T) {
 	if err := rt.Start(); !errors.Is(err, ErrStarted) {
 		t.Fatalf("double Start: %v", err)
 	}
-	if err := rt.AddGroup(2, "late", []int{0}, body); !errors.Is(err, ErrStarted) {
-		t.Fatalf("AddGroup after Start: %v", err)
+	if err := rt.Add(2, "late", []int{0}, true, body, "", nil); !errors.Is(err, ErrStarted) {
+		t.Fatalf("Add after Start: %v", err)
 	}
 	rt.Shutdown()
 	rt.Shutdown() // idempotent
@@ -445,10 +445,10 @@ func TestKillReplicaEdgeCases(t *testing.T) {
 	if h.rt.KillReplica(9, 0) {
 		t.Fatal("kill of unknown group succeeded")
 	}
-	if err := h.rt.AddSingleton(mgrLID, "m", 0, func(env REnv) error {
+	if err := h.rt.Add(mgrLID, "m", []int{0}, false, func(env REnv) error {
 		h.rt.Shutdown()
 		return nil
-	}); err != nil {
+	}, "", nil); err != nil {
 		t.Fatal(err)
 	}
 	if h.rt.KillReplica(mgrLID, 5) {
@@ -468,11 +468,11 @@ func TestKillReplicaEdgeCases(t *testing.T) {
 func TestAppKindInControlRangeRejected(t *testing.T) {
 	h := newHarness(t, 3, DefaultConfig(3))
 	var sendErr error
-	if err := h.rt.AddSingleton(mgrLID, "m", 0, func(env REnv) error {
+	if err := h.rt.Add(mgrLID, "m", []int{0}, false, func(env REnv) error {
 		sendErr = env.Send(mgrLID, CtrlBase+1, nil)
 		h.rt.Shutdown()
 		return nil
-	}); err != nil {
+	}, "", nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := h.rt.Start(); err != nil {
@@ -502,11 +502,11 @@ func TestRealRuntimeSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := &managerResult{}
-	if err := rt.AddSingleton(mgrLID, "manager", 0, managerBody(rt, 2, 5, 5, res)); err != nil {
+	if err := rt.Add(mgrLID, "manager", []int{0}, false, echoManager(rt, 2, 5, 5, res), "", nil); err != nil {
 		t.Fatal(err)
 	}
 	for w := 1; w <= 2; w++ {
-		if err := rt.AddGroup(LogicalID(w), fmt.Sprintf("worker%d", w), []int{1, 2}, workerBody); err != nil {
+		if err := rt.Add(LogicalID(w), fmt.Sprintf("worker%d", w), []int{1, 2}, true, workerBody, "", nil); err != nil {
 			t.Fatal(err)
 		}
 	}
