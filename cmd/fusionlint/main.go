@@ -4,7 +4,8 @@
 //
 //	detsource  — no nondeterminism sources in the deterministic packages
 //	shardgrid  — runtime.GOMAXPROCS/NumCPU only in linalg/parfor.go
-//	apierror   — service errors only through apierror.go's registry
+//	apierror   — service errors only through apierror.go's envelope,
+//	             with fusionclient's registered codes
 //	telemetry  — library diagnostics through the injected logger, metric
 //	             names in the fusion_<subsystem>_<name>[_unit] scheme
 //

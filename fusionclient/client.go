@@ -1,5 +1,8 @@
 // Package fusionclient is the typed Go SDK for the fusion service's v2
-// resource API (internal/service, served by cmd/fusiond).
+// resource API (internal/service, served by cmd/fusiond), and the one
+// declaration of that API's wire schema: the service encodes its
+// response bodies from this package's types and error codes, and a
+// spec test holds docs/openapi.yaml to them.
 //
 // It wraps the whole job lifecycle behind typed calls — SubmitCube,
 // RegisterScene (streaming multipart), FuseScene, Wait (server-side

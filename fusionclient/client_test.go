@@ -1,4 +1,4 @@
-package fusionclient
+package fusionclient_test
 
 import (
 	"bytes"
@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"resilientfusion/fusionclient"
 	"resilientfusion/internal/hsi"
 	"resilientfusion/internal/scene"
 	"resilientfusion/internal/service"
@@ -21,7 +22,7 @@ import (
 // startService spins up a real pool behind an httptest server and
 // returns a client for it — every test drives the SDK against the
 // actual wire contract, not a mock.
-func startService(t *testing.T, cfg service.Config) (*Client, *service.Pool) {
+func startService(t *testing.T, cfg service.Config) (*fusionclient.Client, *service.Pool) {
 	t.Helper()
 	pool, err := service.NewPool(cfg)
 	if err != nil {
@@ -32,7 +33,7 @@ func startService(t *testing.T, cfg service.Config) (*Client, *service.Pool) {
 		srv.Close()
 		pool.Close()
 	})
-	return New(srv.URL, WithHTTPClient(srv.Client())), pool
+	return fusionclient.New(srv.URL, fusionclient.WithHTTPClient(srv.Client())), pool
 }
 
 func testCube(t *testing.T, seed int64) *hsi.Cube {
@@ -56,7 +57,7 @@ func TestSubmitWaitResult(t *testing.T) {
 	ctx := context.Background()
 	cube := testCube(t, 11)
 
-	job, err := client.SubmitCube(ctx, cube, &Options{Threshold: Float(0.05), Granularity: Int(3)})
+	job, err := client.SubmitCube(ctx, cube, &fusionclient.Options{Threshold: fusionclient.Float(0.05), Granularity: fusionclient.Int(3)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func TestSubmitWaitResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if job.State != StateDone {
+	if job.State != fusionclient.StateDone {
 		t.Fatalf("state %s (error %q)", job.State, job.Error)
 	}
 	if job.Result == nil || job.Result.UniqueSetSize == 0 || job.Result.PhaseTimes.Total <= 0 {
@@ -104,7 +105,7 @@ func TestSubmitWaitResult(t *testing.T) {
 	if len(jobs) != 1 || jobs[0].ID != job.ID {
 		t.Errorf("jobs list: %+v", jobs)
 	}
-	if jobs, err = client.Jobs(ctx, StateFailed, 0); err != nil || len(jobs) != 0 {
+	if jobs, err = client.Jobs(ctx, fusionclient.StateFailed, 0); err != nil || len(jobs) != 0 {
 		t.Errorf("failed filter: %v jobs, err=%v", len(jobs), err)
 	}
 
@@ -119,28 +120,28 @@ func TestSubmitWaitResult(t *testing.T) {
 	// Resubmission of the identical cube + options is a cache hit,
 	// terminal straight from SubmitCube — no Wait needed. SubmitHSIC
 	// hits the same cache entry: the two entrypoints send the same bytes.
-	repeat, err := client.SubmitCube(ctx, cube, &Options{Threshold: Float(0.05), Granularity: Int(3)})
+	repeat, err := client.SubmitCube(ctx, cube, &fusionclient.Options{Threshold: fusionclient.Float(0.05), Granularity: fusionclient.Int(3)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !repeat.CacheHit || repeat.State != StateDone {
+	if !repeat.CacheHit || repeat.State != fusionclient.StateDone {
 		t.Errorf("repeat: state=%s hit=%v", repeat.State, repeat.CacheHit)
 	}
 	var hsic bytes.Buffer
 	if _, err := cube.WriteTo(&hsic); err != nil {
 		t.Fatal(err)
 	}
-	rawRepeat, err := client.SubmitHSIC(ctx, &hsic, &Options{Threshold: Float(0.05), Granularity: Int(3)})
+	rawRepeat, err := client.SubmitHSIC(ctx, &hsic, &fusionclient.Options{Threshold: fusionclient.Float(0.05), Granularity: fusionclient.Int(3)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rawRepeat.CacheHit || rawRepeat.State != StateDone {
+	if !rawRepeat.CacheHit || rawRepeat.State != fusionclient.StateDone {
 		t.Errorf("SubmitHSIC repeat: state=%s hit=%v", rawRepeat.State, rawRepeat.CacheHit)
 	}
 
 	// An explicit zero knob means "pool default": the echo shows the
 	// default, not zero.
-	zeroed, err := client.SubmitCube(ctx, cube, &Options{Threshold: Float(0.05), Granularity: Int(0)})
+	zeroed, err := client.SubmitCube(ctx, cube, &fusionclient.Options{Threshold: fusionclient.Float(0.05), Granularity: fusionclient.Int(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +192,7 @@ func TestSceneFlow(t *testing.T) {
 		t.Fatalf("scene info: %+v err=%v", got, err)
 	}
 
-	job, err := client.FuseScene(ctx, info.ID, &Options{Threshold: Float(0.05)})
+	job, err := client.FuseScene(ctx, info.ID, &fusionclient.Options{Threshold: fusionclient.Float(0.05)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +203,7 @@ func TestSceneFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if job.State != StateDone {
+	if job.State != fusionclient.StateDone {
 		t.Fatalf("scene fuse: state %s (error %q)", job.State, job.Error)
 	}
 	if job.Progress == nil || job.Progress.Transformed != job.Progress.Total || job.Progress.Total == 0 {
@@ -215,7 +216,7 @@ func TestSceneFlow(t *testing.T) {
 
 	// The identical cube through the in-memory path: digest-matched
 	// cache hit, byte-identical composite.
-	memJob, err := client.SubmitCube(ctx, cube, &Options{Threshold: Float(0.05)})
+	memJob, err := client.SubmitCube(ctx, cube, &fusionclient.Options{Threshold: fusionclient.Float(0.05)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +239,7 @@ func TestSceneFlow(t *testing.T) {
 	if err := client.RemoveScene(ctx, info.ID); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := client.Scene(ctx, info.ID); ErrorCode(err) != CodeUnknownScene {
+	if _, err := client.Scene(ctx, info.ID); fusionclient.ErrorCode(err) != fusionclient.CodeUnknownScene {
 		t.Errorf("removed scene lookup: %v", err)
 	}
 }
@@ -257,30 +258,30 @@ func TestTypedErrors(t *testing.T) {
 		"ResultPNG": func() error { _, err := client.ResultPNG(ctx, "job-999"); return err },
 	} {
 		err := call()
-		var ae *APIError
+		var ae *fusionclient.APIError
 		if !errors.As(err, &ae) {
 			t.Fatalf("%s: error %v is not an *APIError", name, err)
 		}
-		if ae.Code != CodeUnknownJob || ae.HTTPStatus != 404 || ae.Message == "" {
+		if ae.Code != fusionclient.CodeUnknownJob || ae.HTTPStatus != 404 || ae.Message == "" {
 			t.Errorf("%s: %+v", name, ae)
 		}
 	}
 
 	// Bad option value.
-	_, err := client.SubmitCube(ctx, testCube(t, 13), &Options{Threshold: Float(7)})
-	if ErrorCode(err) != CodeBadOption {
-		t.Errorf("threshold=7: %v (code %q)", err, ErrorCode(err))
+	_, err := client.SubmitCube(ctx, testCube(t, 13), &fusionclient.Options{Threshold: fusionclient.Float(7)})
+	if fusionclient.ErrorCode(err) != fusionclient.CodeBadOption {
+		t.Errorf("threshold=7: %v (code %q)", err, fusionclient.ErrorCode(err))
 	}
-	_, err = client.SubmitCube(ctx, testCube(t, 13), &Options{Components: Int(2)})
-	if ErrorCode(err) != CodeBadOption {
-		t.Errorf("components=2: %v (code %q)", err, ErrorCode(err))
+	_, err = client.SubmitCube(ctx, testCube(t, 13), &fusionclient.Options{Components: fusionclient.Int(2)})
+	if fusionclient.ErrorCode(err) != fusionclient.CodeBadOption {
+		t.Errorf("components=2: %v (code %q)", err, fusionclient.ErrorCode(err))
 	}
 
 	// Unknown scene.
-	if _, err := client.FuseScene(ctx, "scene-999", nil); ErrorCode(err) != CodeUnknownScene {
+	if _, err := client.FuseScene(ctx, "scene-999", nil); fusionclient.ErrorCode(err) != fusionclient.CodeUnknownScene {
 		t.Errorf("fuse unknown scene: %v", err)
 	}
-	if err := client.RemoveScene(ctx, "scene-999"); ErrorCode(err) != CodeUnknownScene {
+	if err := client.RemoveScene(ctx, "scene-999"); fusionclient.ErrorCode(err) != fusionclient.CodeUnknownScene {
 		t.Errorf("remove unknown scene: %v", err)
 	}
 
@@ -301,8 +302,8 @@ func TestTypedErrors(t *testing.T) {
 	}
 	defer raw.Close()
 	_, err = client.RegisterScene(ctx, string(hdrText), raw)
-	var ae *APIError
-	if !errors.As(err, &ae) || ae.Code != CodePayloadTooLarge || ae.HTTPStatus != 413 {
+	var ae *fusionclient.APIError
+	if !errors.As(err, &ae) || ae.Code != fusionclient.CodePayloadTooLarge || ae.HTTPStatus != 413 {
 		t.Errorf("oversized scene: %v", err)
 	}
 
@@ -317,12 +318,12 @@ func TestTypedErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := client.RegisterScene(ctx, string(smallHdr), bytes.NewReader(make([]byte, 64))); ErrorCode(err) != CodeBadPayload {
+	if _, err := client.RegisterScene(ctx, string(smallHdr), bytes.NewReader(make([]byte, 64))); fusionclient.ErrorCode(err) != fusionclient.CodeBadPayload {
 		t.Errorf("truncated scene: %v", err)
 	}
 
 	// Garbage header → bad_payload (client-caused, not internal).
-	if _, err := client.RegisterScene(ctx, "not an envi header", bytes.NewReader(nil)); ErrorCode(err) != CodeBadPayload {
+	if _, err := client.RegisterScene(ctx, "not an envi header", bytes.NewReader(nil)); fusionclient.ErrorCode(err) != fusionclient.CodeBadPayload {
 		t.Errorf("garbage header: %v", err)
 	}
 }
@@ -343,7 +344,7 @@ func TestWaitDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow, err := client.SubmitCube(ctx, big.Cube, &Options{Threshold: Float(0.008)})
+	slow, err := client.SubmitCube(ctx, big.Cube, &fusionclient.Options{Threshold: fusionclient.Float(0.008)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +375,7 @@ func TestWaitDeadline(t *testing.T) {
 	// Both jobs still complete under a patient wait.
 	for _, id := range []string{slow.ID, queued.ID} {
 		job, err := client.Wait(ctx, id)
-		if err != nil || job.State != StateDone {
+		if err != nil || job.State != fusionclient.StateDone {
 			t.Fatalf("%s: state=%v err=%v", id, job, err)
 		}
 	}
@@ -391,10 +392,10 @@ func TestAlgorithmAndCancel(t *testing.T) {
 	})
 	ctx := context.Background()
 
-	if _, err := client.Cancel(ctx, "job-999"); ErrorCode(err) != CodeUnknownJob {
+	if _, err := client.Cancel(ctx, "job-999"); fusionclient.ErrorCode(err) != fusionclient.CodeUnknownJob {
 		t.Errorf("cancel unknown job: %v", err)
 	}
-	if _, err := client.SubmitCube(ctx, testCube(t, 16), &Options{Algorithm: String("median")}); ErrorCode(err) != CodeBadOption {
+	if _, err := client.SubmitCube(ctx, testCube(t, 16), &fusionclient.Options{Algorithm: fusionclient.String("median")}); fusionclient.ErrorCode(err) != fusionclient.CodeBadOption {
 		t.Errorf("unknown algorithm: %v", err)
 	}
 
@@ -407,7 +408,7 @@ func TestAlgorithmAndCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow, err := client.SubmitCube(ctx, big.Cube, &Options{Threshold: Float(0.008)})
+	slow, err := client.SubmitCube(ctx, big.Cube, &fusionclient.Options{Threshold: fusionclient.Float(0.008)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,7 +416,7 @@ func TestAlgorithmAndCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if queued.State != StateQueued {
+	if queued.State != fusionclient.StateQueued {
 		t.Fatalf("expected a queued job behind the wedge, got %s", queued.State)
 	}
 
@@ -423,37 +424,37 @@ func TestAlgorithmAndCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if canceled.State != StateCanceled || !canceled.Terminal() || canceled.Finished == nil {
+	if canceled.State != fusionclient.StateCanceled || !canceled.Terminal() || canceled.Finished == nil {
 		t.Fatalf("canceled job: %+v", canceled)
 	}
-	var ae *APIError
+	var ae *fusionclient.APIError
 	if _, err := client.Cancel(ctx, queued.ID); !errors.As(err, &ae) ||
-		ae.Code != CodeJobNotCancelable || ae.HTTPStatus != http.StatusConflict {
+		ae.Code != fusionclient.CodeJobNotCancelable || ae.HTTPStatus != http.StatusConflict {
 		t.Errorf("re-cancel: %v", err)
 	}
 
 	// The wedge finishes untouched and is then past canceling too.
-	if job, err := client.Wait(ctx, slow.ID); err != nil || job.State != StateDone {
+	if job, err := client.Wait(ctx, slow.ID); err != nil || job.State != fusionclient.StateDone {
 		t.Fatalf("slow job: %+v err=%v", job, err)
 	}
-	if _, err := client.Cancel(ctx, slow.ID); ErrorCode(err) != CodeJobNotCancelable {
+	if _, err := client.Cancel(ctx, slow.ID); fusionclient.ErrorCode(err) != fusionclient.CodeJobNotCancelable {
 		t.Errorf("cancel done job: %v", err)
 	}
-	if jobs, err := client.Jobs(ctx, StateCanceled, 0); err != nil || len(jobs) != 1 || jobs[0].ID != queued.ID {
+	if jobs, err := client.Jobs(ctx, fusionclient.StateCanceled, 0); err != nil || len(jobs) != 1 || jobs[0].ID != queued.ID {
 		t.Errorf("canceled filter: %+v err=%v", jobs, err)
 	}
 
 	// A non-default algorithm rides the same submit path: canonical echo,
 	// terminal completion, and a composite of the cube's dimensions.
 	cube := testCube(t, 18)
-	job, err := client.SubmitCube(ctx, cube, &Options{Algorithm: String("Pyramid")})
+	job, err := client.SubmitCube(ctx, cube, &fusionclient.Options{Algorithm: fusionclient.String("Pyramid")})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if job.Options == nil || job.Options.Algorithm != "pyramid" {
 		t.Fatalf("algorithm echo: %+v", job.Options)
 	}
-	if job, err = client.Wait(ctx, job.ID); err != nil || job.State != StateDone {
+	if job, err = client.Wait(ctx, job.ID); err != nil || job.State != fusionclient.StateDone {
 		t.Fatalf("pyramid job: %+v err=%v", job, err)
 	}
 	data, err := client.ResultPNG(ctx, job.ID)
@@ -470,31 +471,6 @@ func TestAlgorithmAndCancel(t *testing.T) {
 	_ = pool
 }
 
-// TestErrorCodesMatchService pins the SDK's mirrored code constants to
-// the service's — the two lists must never drift.
-func TestErrorCodesMatchService(t *testing.T) {
-	pairs := map[string]string{
-		CodeBadOption:        service.CodeBadOption,
-		CodeBadPayload:       service.CodeBadPayload,
-		CodePayloadTooLarge:  service.CodePayloadTooLarge,
-		CodeQueueFull:        service.CodeQueueFull,
-		CodePoolClosed:       service.CodePoolClosed,
-		CodeUnknownJob:       service.CodeUnknownJob,
-		CodeUnknownScene:     service.CodeUnknownScene,
-		CodeSceneLimit:       service.CodeSceneLimit,
-		CodeImageExpired:     service.CodeImageExpired,
-		CodeJobNotCancelable: service.CodeJobNotCancelable,
-		CodeJobNotFinished:   service.CodeJobNotFinished,
-		CodeJobFailed:        service.CodeJobFailed,
-		CodeInternal:         service.CodeInternal,
-	}
-	for client, svc := range pairs {
-		if client != svc {
-			t.Errorf("code drift: client %q vs service %q", client, svc)
-		}
-	}
-}
-
 // TestRetryAfterSurfaced pins the queue_full backoff contract: the
 // server's Retry-After header arrives as APIError.RetryAfter.
 func TestRetryAfterSurfaced(t *testing.T) {
@@ -504,22 +480,14 @@ func TestRetryAfterSurfaced(t *testing.T) {
 		fmt.Fprint(w, `{"error":{"code":"queue_full","message":"job queue full"}}`)
 	}))
 	defer srv.Close()
-	client := New(srv.URL, WithHTTPClient(srv.Client()))
+	client := fusionclient.New(srv.URL, fusionclient.WithHTTPClient(srv.Client()))
 
 	_, err := client.Job(context.Background(), "job-1")
-	var ae *APIError
+	var ae *fusionclient.APIError
 	if !errors.As(err, &ae) {
 		t.Fatalf("error %v is not an *APIError", err)
 	}
-	if ae.Code != CodeQueueFull || ae.RetryAfter != time.Second {
+	if ae.Code != fusionclient.CodeQueueFull || ae.RetryAfter != time.Second {
 		t.Fatalf("queue_full envelope: %+v", ae)
-	}
-
-	for in, want := range map[string]time.Duration{
-		"": 0, "junk": 0, "-3": 0, "0": 0, " 2 ": 2 * time.Second,
-	} {
-		if got := parseRetryAfter(in); got != want {
-			t.Errorf("parseRetryAfter(%q) = %v, want %v", in, got, want)
-		}
 	}
 }

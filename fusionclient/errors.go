@@ -11,28 +11,48 @@ import (
 	"time"
 )
 
-// Stable machine-readable error codes of the v2 API, mirrored from the
-// service contract (a parity test in the service repo pins the two
-// lists together). Branch on these via ErrorCode or errors.As:
+// Stable machine-readable error codes of the v2 API. This is the one
+// declaration of the list: internal/service writes these constants into
+// its error envelopes, so codes may be added but never renamed. Branch
+// on them via ErrorCode or errors.As:
 //
 //	var apiErr *fusionclient.APIError
 //	if errors.As(err, &apiErr) && apiErr.Code == fusionclient.CodeQueueFull {
 //		// back off and resubmit
 //	}
 const (
-	CodeBadOption        = "bad_option"
-	CodeBadPayload       = "bad_payload"
-	CodePayloadTooLarge  = "payload_too_large"
-	CodeQueueFull        = "queue_full"
-	CodePoolClosed       = "pool_closed"
-	CodeUnknownJob       = "unknown_job"
-	CodeUnknownScene     = "unknown_scene"
-	CodeSceneLimit       = "scene_limit"
-	CodeImageExpired     = "image_expired"
+	// CodeBadOption: an option failed validation (unknown key, bad
+	// value, out-of-range threshold, oversized decomposition).
+	CodeBadOption = "bad_option"
+	// CodeBadPayload: the request body is malformed (bad multipart
+	// framing, undecodable cube, scene payload/header mismatch).
+	CodeBadPayload = "bad_payload"
+	// CodePayloadTooLarge: the upload exceeds the pool's size limit.
+	CodePayloadTooLarge = "payload_too_large"
+	// CodeQueueFull: admission control rejected the job; back off and
+	// resubmit.
+	CodeQueueFull = "queue_full"
+	// CodePoolClosed: the pool is shutting down.
+	CodePoolClosed = "pool_closed"
+	// CodeUnknownJob: no such (or already evicted) job ID.
+	CodeUnknownJob = "unknown_job"
+	// CodeUnknownScene: no such (or removed) scene ID.
+	CodeUnknownScene = "unknown_scene"
+	// CodeSceneLimit: the scene registry is at capacity.
+	CodeSceneLimit = "scene_limit"
+	// CodeImageExpired: the composite aged out of the retention window
+	// (scalar results remain queryable).
+	CodeImageExpired = "image_expired"
+	// CodeJobNotCancelable: DELETE /v2/jobs/{id} on a job that already
+	// left the queue (running or terminal).
 	CodeJobNotCancelable = "job_not_cancelable"
-	CodeJobNotFinished   = "job_not_finished"
-	CodeJobFailed        = "job_failed"
-	CodeInternal         = "internal"
+	// CodeJobNotFinished: a result was requested for a job that has not
+	// reached a terminal state.
+	CodeJobNotFinished = "job_not_finished"
+	// CodeJobFailed: a result was requested for a failed job.
+	CodeJobFailed = "job_failed"
+	// CodeInternal: an unexpected server-side failure.
+	CodeInternal = "internal"
 )
 
 // APIError is a structured service error, round-tripped from the v2

@@ -71,7 +71,9 @@ type TileProgress struct {
 }
 
 // PhaseTimes records when each algorithm phase completed, in runtime
-// seconds. Field names mirror the service's JSON (no tags there).
+// seconds. The fields are untagged, so their Go names are the JSON keys;
+// they match core.PhaseTimes field for field, which the service
+// converts directly.
 type PhaseTimes struct {
 	Screen     float64
 	Statistics float64

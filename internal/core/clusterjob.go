@@ -146,7 +146,6 @@ func StartJob(sys scplib.System, src CubeSource, opts Options, base scplib.Threa
 
 	rcfg := resilient.Config{
 		Nodes:           opts.Workers + 1,
-		Replication:     opts.Replication,
 		HeartbeatPeriod: opts.HeartbeatPeriod,
 		FailTimeout:     opts.FailTimeout,
 		Regenerate:      opts.Regenerate,

@@ -11,6 +11,7 @@ import (
 	"resilientfusion/internal/resilient"
 	"resilientfusion/internal/scplib"
 	"resilientfusion/internal/simnet"
+	"resilientfusion/internal/telemetry"
 )
 
 // simHarness is a small simulated cluster with one replicated worker
@@ -35,7 +36,6 @@ func newSimHarness(t *testing.T, regenerate bool) *simHarness {
 	sys := scplib.NewSimSystem(x, x.NewBus(0, 0), ns, scplib.DefaultMsgCost())
 	rt, err := resilient.New(sys, resilient.Config{
 		Nodes:           3,
-		Replication:     2,
 		HeartbeatPeriod: 0.5,
 		FailTimeout:     2,
 		Regenerate:      regenerate,
@@ -157,13 +157,28 @@ func TestKillTriggersRegeneration(t *testing.T) {
 // replica placed on the failed node dies and is detected.
 func TestCrashNodeKillsResidentReplica(t *testing.T) {
 	h := newSimHarness(t, false)
+	tr := telemetry.NewTraceRecorder(0)
+	h.rt.SetTrace(tr)
 	h.run(t, Plan{Events: []Event{CrashNode(4, 2)}}, 20)
 
 	st := h.rt.Stats()
 	if st.Detections != 1 {
 		t.Errorf("node crash detections = %d, want 1", st.Detections)
 	}
-	if n := h.rt.AliveReplicas(workerLID); n != 1 {
+	// The guardian's view: the worker's two replicas (nodes 1 and 2)
+	// minus the slots it declared failed; without regeneration none
+	// come back. Only slot 1, the replica on node 2, may be declared.
+	spans, _ := tr.Snapshot()
+	n := 2
+	for _, s := range spans {
+		if s.Name == "detection" && s.Note == "worker" {
+			n--
+			if s.Index != 1 {
+				t.Errorf("detected worker slot %d, want 1 (node 2)", s.Index)
+			}
+		}
+	}
+	if n != 1 {
 		t.Errorf("alive replicas after node crash = %d, want 1", n)
 	}
 }
@@ -174,7 +189,6 @@ func TestArmReal(t *testing.T) {
 	sys := scplib.NewRealSystem()
 	rt, err := resilient.New(sys, resilient.Config{
 		Nodes:           3,
-		Replication:     2,
 		HeartbeatPeriod: 0.02,
 		FailTimeout:     0.1,
 	})

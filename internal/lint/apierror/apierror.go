@@ -1,17 +1,16 @@
 // Package apierror implements the fusionlint analyzer that keeps the
 // service's error surface closed: every HTTP error is written through
 // the structured envelope helpers in internal/service/apierror.go, and
-// every error code is a constant from that file's registry. The codes
-// are wire contract — fusionclient maps them to typed *APIError values,
-// so a hand-rolled envelope or a typo'd code silently breaks clients.
+// every error code is a Code* constant of fusionclient, the API's one
+// code registry. The codes are wire contract — fusionclient maps them
+// to typed *APIError values, so a hand-rolled envelope or a typo'd code
+// silently breaks clients.
 package apierror
 
 import (
 	"go/ast"
 	"go/constant"
-	"go/token"
 	"go/types"
-	"strconv"
 	"strings"
 
 	"resilientfusion/internal/lint"
@@ -20,6 +19,9 @@ import (
 // RegistryFile is the one file allowed to construct error envelopes.
 const RegistryFile = "apierror.go"
 
+// RegistryPkg is the package whose Code* constants are the registry.
+const RegistryPkg = "fusionclient"
+
 // Analyzer flags, within internal/service:
 //
 //   - http.Error calls outside apierror.go — they bypass the structured
@@ -27,11 +29,12 @@ const RegistryFile = "apierror.go"
 //   - hand-rolled envelope literals (apiErrorJSON / errorEnvelope
 //     composites) outside apierror.go;
 //   - error codes passed to writeAPIErrorCode that are not declared in
-//     the apierror.go registry, or that restate a registered code as a
-//     string literal instead of naming its constant.
+//     fusionclient's Code* registry, or that restate a registered code
+//     (as a string literal or another constant) instead of naming its
+//     fusionclient constant.
 var Analyzer = &lint.Analyzer{
 	Name:    "apierror",
-	Doc:     "flag error responses that bypass apierror.go's envelope helpers or use codes outside its registry",
+	Doc:     "flag error responses that bypass apierror.go's envelope helpers or use codes outside fusionclient's registry",
 	Applies: func(path string) bool { return lint.HasPathSuffix(path, "internal/service") },
 	Run:     run,
 }
@@ -58,38 +61,31 @@ func run(pass *lint.Pass) error {
 	return nil
 }
 
-// collectRegistry gathers the Code* string constants declared in
-// apierror.go: value -> constant name.
+// collectRegistry gathers the Code* string constants of the imported
+// fusionclient package: value -> constant name. A package that does not
+// import fusionclient has an empty registry, so every code it writes
+// is unregistered.
 func collectRegistry(pass *lint.Pass) map[string]string {
 	registry := make(map[string]string)
-	for _, f := range pass.Files {
-		if pass.Filename(f.Pos()) != RegistryFile {
+	for _, pkg := range pass.Pkg.Imports() {
+		if !lint.HasPathSuffix(pkg.Path(), RegistryPkg) {
 			continue
 		}
-		for _, decl := range f.Decls {
-			gd, ok := decl.(*ast.GenDecl)
-			if !ok || gd.Tok != token.CONST {
-				continue
-			}
-			for _, spec := range gd.Specs {
-				vs, ok := spec.(*ast.ValueSpec)
-				if !ok {
-					continue
-				}
-				for i, name := range vs.Names {
-					if !strings.HasPrefix(name.Name, "Code") || i >= len(vs.Values) {
-						continue
-					}
-					if bl, ok := vs.Values[i].(*ast.BasicLit); ok && bl.Kind == token.STRING {
-						if v, err := strconv.Unquote(bl.Value); err == nil {
-							registry[v] = name.Name
-						}
-					}
-				}
+		scope := pkg.Scope()
+		for _, name := range scope.Names() {
+			if c, ok := scope.Lookup(name).(*types.Const); ok && isRegistryConst(c) {
+				registry[constant.StringVal(c.Val())] = name
 			}
 		}
 	}
 	return registry
+}
+
+// isRegistryConst reports whether c is a string Code* constant declared
+// in fusionclient.
+func isRegistryConst(c *types.Const) bool {
+	return c.Pkg() != nil && lint.HasPathSuffix(c.Pkg().Path(), RegistryPkg) &&
+		strings.HasPrefix(c.Name(), "Code") && c.Val().Kind() == constant.String
 }
 
 func checkCall(pass *lint.Pass, call *ast.CallExpr, registry map[string]string, inRegistry bool) {
@@ -100,7 +96,7 @@ func checkCall(pass *lint.Pass, call *ast.CallExpr, registry map[string]string, 
 		return
 	}
 	// writeAPIErrorCode(w, status, code, message): the code argument must
-	// be a registered constant, named by its constant.
+	// name one of fusionclient's Code* constants.
 	id, ok := call.Fun.(*ast.Ident)
 	if !ok || id.Name != "writeAPIErrorCode" || len(call.Args) != 4 {
 		return
@@ -114,14 +110,29 @@ func checkCall(pass *lint.Pass, call *ast.CallExpr, registry map[string]string, 
 		return // dynamic code (writeAPIError's own dispatch): not checkable here
 	}
 	val := constant.StringVal(tv.Value)
-	constName, registered := registry[val]
-	if !registered {
-		pass.Reportf(arg.Pos(), "error code %q is not declared in the %s registry: a typo'd code breaks fusionclient's typed *APIError mapping", val, RegistryFile)
+	if c := usedConst(pass.Info, arg); c != nil && isRegistryConst(c) {
 		return
 	}
-	if id, ok := arg.(*ast.Ident); !ok || id.Name != constName {
-		pass.Reportf(arg.Pos(), "error code %q restated instead of named: use the %s constant from %s", val, constName, RegistryFile)
+	constName, registered := registry[val]
+	if !registered {
+		pass.Reportf(arg.Pos(), "error code %q is not declared in %s's code registry: a typo'd code breaks its typed *APIError mapping", val, RegistryPkg)
+		return
 	}
+	pass.Reportf(arg.Pos(), "error code %q restated instead of named: use the %s.%s constant", val, RegistryPkg, constName)
+}
+
+// usedConst resolves an identifier or qualified identifier to the
+// constant it names, or nil.
+func usedConst(info *types.Info, e ast.Expr) *types.Const {
+	switch e := ast.Unparen(e).(type) {
+	case *ast.Ident:
+		c, _ := info.Uses[e].(*types.Const)
+		return c
+	case *ast.SelectorExpr:
+		c, _ := info.Uses[e.Sel].(*types.Const)
+		return c
+	}
+	return nil
 }
 
 // isEnvelopeType matches the service's envelope structs by name.

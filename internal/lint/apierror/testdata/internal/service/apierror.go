@@ -7,11 +7,6 @@ import (
 	"net/http"
 )
 
-const (
-	CodeBadOption = "bad_option"
-	CodeInternal  = "internal"
-)
-
 type apiErrorJSON struct {
 	Code    string `json:"code"`
 	Message string `json:"message"`

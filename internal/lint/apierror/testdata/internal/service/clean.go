@@ -1,11 +1,15 @@
 package service
 
-import "net/http"
+import (
+	"net/http"
 
-// The sanctioned form: registered constants through the registry's
-// helper. No diagnostics.
+	"fusionlint.test/api/fusionclient"
+)
+
+// The sanctioned form: fusionclient's registered constants through the
+// registry file's helper. No diagnostics.
 func goodHandler(w http.ResponseWriter, err error) {
-	writeAPIErrorCode(w, http.StatusBadRequest, CodeBadOption, err.Error())
-	code := CodeInternal // dynamic code values are the helper's business
+	writeAPIErrorCode(w, http.StatusBadRequest, fusionclient.CodeBadOption, err.Error())
+	code := fusionclient.CodeInternal // dynamic code values are the helper's business
 	writeAPIErrorCode(w, http.StatusInternalServerError, code, "later")
 }

@@ -13,7 +13,6 @@ import (
 func fastRealConfig(nodes int) Config {
 	return Config{
 		Nodes:           nodes,
-		Replication:     2,
 		HeartbeatPeriod: 0.01,
 		FailTimeout:     0.08,
 		Regenerate:      true,
@@ -53,7 +52,7 @@ func TestEpochBumpDedupeRealRuntime(t *testing.T) {
 		// Linger while the whole group is killed and regenerated. (The
 		// alive count dips and recovers within a single guardian scan, so
 		// watch the regeneration counter, not the replica count.)
-		for rt.Stats().Regenerations < 2 || rt.AliveReplicas(1) < 2 {
+		for rt.Stats().Regenerations < 2 || len(rt.physOf(1)) < 2 {
 			if _, err := env.RecvTimeout(0.02); err != nil && !errors.Is(err, ErrTimeout) {
 				return err
 			}
@@ -177,7 +176,7 @@ func TestResilientOverCluster(t *testing.T) {
 		t.Fatal(err)
 	}
 	go func() {
-		for rt.AliveReplicas(1) < 2 {
+		for len(rt.physOf(1)) < 2 {
 			time.Sleep(time.Millisecond)
 		}
 		time.Sleep(20 * time.Millisecond) // let a round or two land first
@@ -207,7 +206,6 @@ func TestResilientClusterNodeLoss(t *testing.T) {
 	// severed connection, not from heartbeat expiry.
 	cfg := Config{
 		Nodes:           4,
-		Replication:     2,
 		HeartbeatPeriod: 0.2,
 		FailTimeout:     30,
 		Regenerate:      true,
@@ -224,7 +222,7 @@ func TestResilientClusterNodeLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 	go func() {
-		for rt.AliveReplicas(1) < 2 {
+		for len(rt.physOf(1)) < 2 {
 			time.Sleep(time.Millisecond)
 		}
 		time.Sleep(20 * time.Millisecond)

@@ -15,7 +15,7 @@ import (
 // after it is sent.
 func TestSendFrameSharesOneBuffer(t *testing.T) {
 	sys := scplib.NewRealSystem()
-	rt, err := New(sys, Config{Nodes: 3, Replication: 2, HeartbeatPeriod: 0.05, FailTimeout: 5})
+	rt, err := New(sys, Config{Nodes: 3, HeartbeatPeriod: 0.05, FailTimeout: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

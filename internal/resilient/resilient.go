@@ -116,10 +116,6 @@ type RBody func(env REnv) error
 type Config struct {
 	// Nodes is the number of cluster nodes available for placement.
 	Nodes int
-	// Replication is the replication level callers place replicas for
-	// (level 2 in the paper's evaluation); Add itself takes explicit
-	// placements.
-	Replication int
 	// HeartbeatPeriod is the replica heartbeat interval in seconds.
 	HeartbeatPeriod float64
 	// FailTimeout declares a replica dead after this many seconds of
@@ -144,12 +140,12 @@ type Config struct {
 	PhysBase scplib.ThreadID
 }
 
-// DefaultConfig returns the evaluation configuration of §4: replication
-// level two with regeneration enabled.
+// DefaultConfig returns the evaluation configuration of §4 with
+// regeneration enabled. The replication level (two in the paper) is
+// the number of placements callers pass to Add.
 func DefaultConfig(nodes int) Config {
 	return Config{
 		Nodes:           nodes,
-		Replication:     2,
 		HeartbeatPeriod: 0.25,
 		FailTimeout:     1.0,
 		Regenerate:      true,
@@ -157,9 +153,6 @@ func DefaultConfig(nodes int) Config {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Replication <= 0 {
-		c.Replication = 2
-	}
 	if c.HeartbeatPeriod <= 0 {
 		c.HeartbeatPeriod = 0.25
 	}

@@ -361,24 +361,6 @@ func (rt *Runtime) KillReplica(lid LogicalID, slot int) bool {
 	return rt.sys.Kill(phys)
 }
 
-// AliveReplicas returns how many replicas of lid are currently believed
-// alive (guardian's view).
-func (rt *Runtime) AliveReplicas(lid LogicalID) int {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	g := rt.byLID[lid]
-	if g == nil {
-		return 0
-	}
-	n := 0
-	for _, m := range g.members {
-		if m.alive {
-			n++
-		}
-	}
-	return n
-}
-
 // physOf returns the live physical IDs for lid according to the
 // guardian's authoritative state (used by tests).
 func (rt *Runtime) physOf(lid LogicalID) []scplib.ThreadID {

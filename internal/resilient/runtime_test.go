@@ -132,6 +132,10 @@ func echoManager(rt *Runtime, workers, rounds int, perRoundTimeout float64, res 
 	}
 }
 
+// echoReplication is the replicas buildEcho places per worker group,
+// the paper's evaluation level.
+const echoReplication = 2
+
 // buildEcho wires the echo application: returns the result sink.
 func buildEcho(t *testing.T, h *harness, workers, rounds int, timeout float64) *managerResult {
 	t.Helper()
@@ -139,10 +143,9 @@ func buildEcho(t *testing.T, h *harness, workers, rounds int, timeout float64) *
 	if err := h.rt.Add(mgrLID, "manager", []int{0}, false, echoManager(h.rt, workers, rounds, timeout, res), "", nil); err != nil {
 		t.Fatal(err)
 	}
-	level := h.rt.Config().Replication
 	for w := 1; w <= workers; w++ {
-		placements := make([]int, level)
-		for k := 0; k < level; k++ {
+		placements := make([]int, echoReplication)
+		for k := 0; k < echoReplication; k++ {
 			placements[k] = 1 + (w-1+k)%(h.rt.Config().Nodes-1)
 		}
 		if err := h.rt.Add(LogicalID(w), fmt.Sprintf("worker%d", w), placements, true, workerBody, "", nil); err != nil {
@@ -202,7 +205,7 @@ func TestKillOneReplicaStillCompletes(t *testing.T) {
 	if st.Regenerations < 1 {
 		t.Fatalf("replica not regenerated: %+v", st)
 	}
-	if got := h.rt.AliveReplicas(1); got != 2 {
+	if got := len(h.rt.physOf(1)); got != 2 {
 		t.Fatalf("alive replicas after regeneration = %d", got)
 	}
 	// Detection latency bounded by FailTimeout + poll slack.
@@ -262,7 +265,7 @@ func TestNoRegenerationBaseline(t *testing.T) {
 	if st.Regenerations != 0 {
 		t.Fatalf("regenerated despite Regenerate=false: %+v", st)
 	}
-	if got := h.rt.AliveReplicas(1); got != 1 {
+	if got := len(h.rt.physOf(1)); got != 1 {
 		t.Fatalf("alive replicas = %d, want 1 (degraded)", got)
 	}
 }
@@ -460,8 +463,8 @@ func TestKillReplicaEdgeCases(t *testing.T) {
 	if err := h.rt.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if h.rt.AliveReplicas(9) != 0 {
-		t.Fatal("AliveReplicas for unknown group")
+	if len(h.rt.physOf(9)) != 0 {
+		t.Fatal("physOf for unknown group")
 	}
 }
 
@@ -492,7 +495,6 @@ func TestRealRuntimeSmoke(t *testing.T) {
 	sys := scplib.NewRealSystem()
 	cfg := Config{
 		Nodes:           4,
-		Replication:     2,
 		HeartbeatPeriod: 0.01,
 		FailTimeout:     0.08,
 		Regenerate:      true,
@@ -515,7 +517,7 @@ func TestRealRuntimeSmoke(t *testing.T) {
 	}
 	go func() {
 		// Kill a replica shortly after startup, from outside.
-		for rt.AliveReplicas(1) < 2 {
+		for len(rt.physOf(1)) < 2 {
 		}
 		rt.KillReplica(1, 0)
 	}()

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"resilientfusion/fusionclient"
 	"resilientfusion/internal/core"
 	"resilientfusion/internal/hsi"
 	"resilientfusion/internal/scene"
@@ -152,7 +153,7 @@ func TestV2CancelEndpoint(t *testing.T) {
 		return resp
 	}
 
-	wantEnvelope(t, del("job-999"), http.StatusNotFound, CodeUnknownJob)
+	wantEnvelope(t, del("job-999"), http.StatusNotFound, fusionclient.CodeUnknownJob)
 
 	submitSlow(t, pool)
 	resp := postCubeV2(t, client, srv.URL+"/v2/jobs", testCube(t, 43), "")
@@ -168,7 +169,7 @@ func TestV2CancelEndpoint(t *testing.T) {
 	if job := decodeJob(t, resp); job.State != StateCanceled || job.Finished == nil {
 		t.Fatalf("canceled resource: %+v", job)
 	}
-	wantEnvelope(t, del(queued.ID), http.StatusConflict, CodeJobNotCancelable)
+	wantEnvelope(t, del(queued.ID), http.StatusConflict, fusionclient.CodeJobNotCancelable)
 
 	// The canceled state is visible through the list filter.
 	r, err := client.Get(srv.URL + "/v2/jobs?state=canceled")
@@ -208,7 +209,7 @@ func TestV2AlgorithmOption(t *testing.T) {
 	}
 
 	resp = postCubeV2(t, client, srv.URL+"/v2/jobs", testCube(t, 44), `{"algorithm":"median"}`)
-	wantEnvelope(t, resp, http.StatusBadRequest, CodeBadOption)
+	wantEnvelope(t, resp, http.StatusBadRequest, fusionclient.CodeBadOption)
 
 	// The scene fuse decodes the same options body: a pyramid fusion
 	// of a registered scene echoes the canonical name too.
@@ -233,7 +234,7 @@ func TestV2AlgorithmOption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantEnvelope(t, r, http.StatusBadRequest, CodeBadOption)
+	wantEnvelope(t, r, http.StatusBadRequest, fusionclient.CodeBadOption)
 }
 
 // TestPCTNeedsComponentBands: pct keeps Components principal components,
@@ -280,7 +281,7 @@ func TestPCTNeedsComponentBands(t *testing.T) {
 				resp = fuseScene(t, client, srv.URL, info.ID, tc.options)
 			}
 			if tc.reject {
-				wantEnvelope(t, resp, http.StatusBadRequest, CodeBadOption)
+				wantEnvelope(t, resp, http.StatusBadRequest, fusionclient.CodeBadOption)
 				continue
 			}
 			if resp.StatusCode != http.StatusAccepted {

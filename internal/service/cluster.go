@@ -3,6 +3,7 @@ package service
 import (
 	"sync"
 
+	"resilientfusion/fusionclient"
 	"resilientfusion/internal/core"
 	"resilientfusion/internal/resilient"
 	"resilientfusion/internal/scplib"
@@ -64,26 +65,6 @@ func (c ClusterConfig) withDefaults() ClusterConfig {
 		c.ReissueTimeout = 5.0
 	}
 	return c
-}
-
-// ClusterStats is the cluster section of Stats (null when cluster mode
-// is off).
-type ClusterStats struct {
-	// Addr is the coordinator's resolved listen address.
-	Addr string `json:"addr"`
-	// Workers is the expected worker count; LiveWorkers is how many are
-	// connected right now.
-	Workers     int `json:"workers"`
-	LiveWorkers int `json:"live_workers"`
-	Replication int `json:"replication"`
-	// Jobs completed over the cluster; Fallbacks ran in process instead
-	// (below quorum or after a cluster-side failure).
-	Jobs      int64 `json:"jobs"`
-	Fallbacks int64 `json:"fallbacks"`
-	// Aggregated resilient.Stats across all cluster jobs.
-	Detections    int64 `json:"detections"`
-	Regenerations int64 `json:"regenerations"`
-	ViewChanges   int64 `json:"view_changes"`
 }
 
 // clusterState is the pool's cluster-mode machinery. The protocol
@@ -197,9 +178,11 @@ func (cl *clusterState) absorb(st resilient.Stats, completed bool) {
 }
 
 // snapshot builds the /v2/stats cluster section from the registry
-// counters (identical to what /metrics scrapes).
-func (cl *clusterState) snapshot() *ClusterStats {
-	return &ClusterStats{
+// counters (identical to what /metrics scrapes): fleet size, jobs run
+// over the fleet and those that fell back in process, and the
+// aggregated resilient.Stats of every cluster job.
+func (cl *clusterState) snapshot() *fusionclient.ClusterStats {
+	return &fusionclient.ClusterStats{
 		Addr:          cl.addr,
 		Workers:       cl.cfg.Workers,
 		LiveWorkers:   cl.sys.LiveWorkers(),

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"time"
 
+	"resilientfusion/fusionclient"
 	"resilientfusion/internal/core"
 	"resilientfusion/internal/hsi"
 	"resilientfusion/internal/scene"
@@ -303,13 +304,13 @@ func (p *Pool) recoverJobs() {
 // rebuilt job's result key — and therefore its mosaic — is bit-identical
 // to the pre-crash submission.
 func (p *Pool) rebuildJob(rec store.JobRecord) (*Job, error) {
-	var jo JobOptions
+	var jo fusionclient.JobOptions
 	if len(rec.Options) > 0 {
 		if err := json.Unmarshal(rec.Options, &jo); err != nil {
 			return nil, fmt.Errorf("journaled options: %w", err)
 		}
 	}
-	opts, err := p.canonicalOptions(jo.coreOptions())
+	opts, err := p.canonicalOptions(lowerJobOptions(jo))
 	if err != nil {
 		return nil, err
 	}
@@ -518,10 +519,10 @@ func (p *Pool) catalogAdd(ent *sceneEntry) error {
 	})
 }
 
-// coreOptions lowers the journaled canonical form back onto
+// lowerJobOptions lowers the journaled canonical form back onto
 // core.Options for re-canonicalization. Workers is deliberately absent:
 // the pool's width is policy, not job state.
-func (jo JobOptions) coreOptions() core.Options {
+func lowerJobOptions(jo fusionclient.JobOptions) core.Options {
 	return core.Options{
 		Granularity: jo.Granularity,
 		Prefetch:    jo.Prefetch,

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"resilientfusion/fusionclient"
 	"resilientfusion/internal/core"
 	"resilientfusion/internal/scene"
 	"resilientfusion/internal/store"
@@ -72,7 +73,7 @@ func TestPoolDurableRestart(t *testing.T) {
 	if err := cube.SaveFile(filepath.Join(cubesDir, "job-3.hsic")); err != nil {
 		t.Fatal(err)
 	}
-	optJSON, err := json.Marshal(JobOptions{Threshold: 0.05})
+	optJSON, err := json.Marshal(fusionclient.JobOptions{Threshold: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +162,7 @@ func TestPoolDurableRemovedSceneStaysRemoved(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	optJSON, _ := json.Marshal(JobOptions{Threshold: 0.05})
+	optJSON, _ := json.Marshal(fusionclient.JobOptions{Threshold: 0.05})
 	j, _, err := store.OpenJournal(filepath.Join(cfg.JournalDir, "journal.log"))
 	if err != nil {
 		t.Fatal(err)

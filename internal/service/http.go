@@ -13,56 +13,26 @@ import (
 	"strings"
 	"time"
 
+	"resilientfusion/fusionclient"
 	"resilientfusion/internal/core"
 	"resilientfusion/internal/hsi"
 	"resilientfusion/internal/scene"
-	"resilientfusion/internal/telemetry"
 )
 
 // maxCubeBytes bounds an uploaded cube (512 MiB of HSIC). A variable so
 // tests can exercise the limit without half-gigabyte uploads.
 var maxCubeBytes int64 = 512 << 20
 
-// jobJSON is the wire form of a JobStatus — the job resource.
-type jobJSON struct {
-	ID       string   `json:"id"`
-	State    JobState `json:"state"`
-	SceneID  string   `json:"scene_id,omitempty"`
-	CacheHit bool     `json:"cache_hit"`
-	Error    string   `json:"error,omitempty"`
-	// Options echoes the canonical options the job ran with, defaults
-	// filled in, so clients see the knobs their submission resolved to.
-	Options  *JobOptions   `json:"options,omitempty"`
-	Progress *TileProgress `json:"progress,omitempty"`
-	// Trace summarizes recorded stage spans (count, summed seconds); the
-	// full timeline is GET /v2/jobs/{id}/trace.
-	Trace     map[string]telemetry.StageSummary `json:"trace,omitempty"`
-	Submitted time.Time                         `json:"submitted"`
-	Started   *time.Time                        `json:"started,omitempty"`
-	Finished  *time.Time                        `json:"finished,omitempty"`
-	Result    *resultJSON                       `json:"result,omitempty"`
-}
-
-// resultJSON summarizes a core.Result for clients. The composite image
-// is a separate artifact (GET /v2/jobs/{id}/result with Accept:
-// image/png): it dominates the response size.
-type resultJSON struct {
-	UniqueSetSize int             `json:"unique_set_size"`
-	SubCubes      int             `json:"sub_cubes"`
-	Reissues      int             `json:"reissues"`
-	CacheMisses   int             `json:"cache_misses"`
-	Eigenvalues   []float64       `json:"eigenvalues"`
-	PhaseTimes    core.PhaseTimes `json:"phase_times"`
-}
-
-func statusJSON(st JobStatus) *jobJSON {
-	out := &jobJSON{
+// statusJSON encodes a job snapshot as the v2 job resource. The
+// composite image is a separate artifact (GET /v2/jobs/{id}/result with
+// Accept: image/png): it dominates the response size.
+func statusJSON(st JobStatus) *fusionclient.Job {
+	out := &fusionclient.Job{
 		ID:        st.ID,
 		State:     st.State,
 		SceneID:   st.SceneID,
 		CacheHit:  st.CacheHit,
 		Progress:  st.Progress,
-		Trace:     st.Trace,
 		Submitted: st.Submitted,
 	}
 	if st.Err != nil {
@@ -70,6 +40,12 @@ func statusJSON(st JobStatus) *jobJSON {
 	}
 	if st.Options.Workers > 0 {
 		out.Options = jobOptions(st.Options)
+	}
+	if len(st.Trace) > 0 {
+		out.Trace = make(map[string]fusionclient.StageSummary, len(st.Trace))
+		for stage, sum := range st.Trace {
+			out.Trace[stage] = fusionclient.StageSummary(sum)
+		}
 	}
 	if !st.Started.IsZero() {
 		t := st.Started
@@ -80,13 +56,13 @@ func statusJSON(st JobStatus) *jobJSON {
 		out.Finished = &t
 	}
 	if st.Result != nil {
-		out.Result = &resultJSON{
+		out.Result = &fusionclient.ResultSummary{
 			UniqueSetSize: st.Result.UniqueSetSize,
 			SubCubes:      st.Result.SubCubes,
 			Reissues:      st.Result.Reissues,
 			CacheMisses:   st.Result.CacheMisses,
 			Eigenvalues:   st.Result.Eigenvalues,
-			PhaseTimes:    st.Result.Times,
+			PhaseTimes:    fusionclient.PhaseTimes(st.Result.Times),
 		}
 	}
 	return out
@@ -126,7 +102,9 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 // Handler exposes the pool as the HTTP API specified in
 // docs/openapi.yaml. Errors travel in a structured envelope
 // {"error": {"code", "message"}} with stable machine-readable codes
-// (apierror.go); job options are JSON bodies decoded into OptionsJSON;
+// (apierror.go); job options are JSON bodies decoded into
+// fusionclient.Options, and every body is encoded from fusionclient's
+// types;
 // cube and scene fusions are one job resource with listing,
 // canonical-options echo, long-poll (?wait=, capped by
 // Config.MaxLongPoll), and a content-negotiated result artifact.
@@ -184,14 +162,14 @@ func (p *Pool) Handler() http.Handler {
 // It reports whether the handler may proceed.
 func noQuery(w http.ResponseWriter, r *http.Request) bool {
 	if _, err := queryKeys(r.URL.Query()); err != nil {
-		writeAPIErrorCode(w, http.StatusBadRequest, CodeBadOption, err.Error())
+		writeAPIErrorCode(w, http.StatusBadRequest, fusionclient.CodeBadOption, err.Error())
 		return false
 	}
 	return true
 }
 
 // handleSubmitJob accepts a multipart submission: an optional "options" part
-// holding the OptionsJSON body, then a "cube" part streaming the
+// holding the fusionclient.Options JSON body, then a "cube" part streaming the
 // HSIC-encoded cube.
 func (p *Pool) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 	// Options travel in the body; a query-string ?threshold=... here
@@ -201,13 +179,13 @@ func (p *Pool) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 	}
 	mr, err := r.MultipartReader()
 	if err != nil {
-		writeAPIErrorCode(w, http.StatusBadRequest, CodeBadPayload,
+		writeAPIErrorCode(w, http.StatusBadRequest, fusionclient.CodeBadPayload,
 			fmt.Sprintf("multipart body required: %v", err))
 		return
 	}
 	part, err := mr.NextPart()
 	if err != nil {
-		writeAPIErrorCode(w, http.StatusBadRequest, CodeBadPayload,
+		writeAPIErrorCode(w, http.StatusBadRequest, fusionclient.CodeBadPayload,
 			`multipart needs an optional "options" part then a "cube" part`)
 		return
 	}
@@ -215,17 +193,17 @@ func (p *Pool) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 	if part.FormName() == "options" {
 		opts, err = decodeOptionsBody(part)
 		if err != nil {
-			writeAPIErrorCode(w, http.StatusBadRequest, CodeBadOption, err.Error())
+			writeAPIErrorCode(w, http.StatusBadRequest, fusionclient.CodeBadOption, err.Error())
 			return
 		}
 		if part, err = mr.NextPart(); err != nil {
-			writeAPIErrorCode(w, http.StatusBadRequest, CodeBadPayload,
+			writeAPIErrorCode(w, http.StatusBadRequest, fusionclient.CodeBadPayload,
 				`"cube" part missing after "options"`)
 			return
 		}
 	}
 	if part.FormName() != "cube" {
-		writeAPIErrorCode(w, http.StatusBadRequest, CodeBadPayload,
+		writeAPIErrorCode(w, http.StatusBadRequest, fusionclient.CodeBadPayload,
 			fmt.Sprintf(`unexpected multipart part %q (want "cube")`, part.FormName()))
 		return
 	}
@@ -236,11 +214,11 @@ func (p *Pool) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 	cube, err := hsi.ReadCubeLimit(part, maxCubeBytes)
 	if err != nil {
 		if errors.Is(err, hsi.ErrCubeTooLarge) {
-			writeAPIErrorCode(w, http.StatusRequestEntityTooLarge, CodePayloadTooLarge,
+			writeAPIErrorCode(w, http.StatusRequestEntityTooLarge, fusionclient.CodePayloadTooLarge,
 				fmt.Sprintf("cube exceeds the %d-byte upload limit", maxCubeBytes))
 			return
 		}
-		writeAPIErrorCode(w, http.StatusBadRequest, CodeBadPayload,
+		writeAPIErrorCode(w, http.StatusBadRequest, fusionclient.CodeBadPayload,
 			fmt.Sprintf("decoding cube: %v", err))
 		return
 	}
@@ -249,11 +227,11 @@ func (p *Pool) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 	// dropped silently — the exact failure mode unknown query keys and
 	// unknown JSON fields are rejected to prevent.
 	if extra, err := mr.NextPart(); err == nil {
-		writeAPIErrorCode(w, http.StatusBadRequest, CodeBadPayload,
+		writeAPIErrorCode(w, http.StatusBadRequest, fusionclient.CodeBadPayload,
 			fmt.Sprintf(`unexpected multipart part %q after "cube" (options must precede the cube)`, extra.FormName()))
 		return
 	} else if !errors.Is(err, io.EOF) {
-		writeAPIErrorCode(w, http.StatusBadRequest, CodeBadPayload,
+		writeAPIErrorCode(w, http.StatusBadRequest, fusionclient.CodeBadPayload,
 			fmt.Sprintf("reading multipart body: %v", err))
 		return
 	}
@@ -272,7 +250,7 @@ func (p *Pool) handleListJobs(w http.ResponseWriter, r *http.Request) {
 	limit := 100
 	keys, err := queryKeys(q, "state", "limit")
 	if err != nil {
-		writeAPIErrorCode(w, http.StatusBadRequest, CodeBadOption, err.Error())
+		writeAPIErrorCode(w, http.StatusBadRequest, fusionclient.CodeBadOption, err.Error())
 		return
 	}
 	for _, key := range keys {
@@ -282,14 +260,14 @@ func (p *Pool) handleListJobs(w http.ResponseWriter, r *http.Request) {
 			case StateQueued, StateRunning, StateDone, StateFailed, StateCanceled:
 				state = s
 			default:
-				writeAPIErrorCode(w, http.StatusBadRequest, CodeBadOption,
+				writeAPIErrorCode(w, http.StatusBadRequest, fusionclient.CodeBadOption,
 					fmt.Sprintf("unknown state %q (valid: queued, running, done, failed, canceled)", q.Get(key)))
 				return
 			}
 		case "limit":
 			v, err := strconv.Atoi(q.Get(key))
 			if err != nil || v < 1 {
-				writeAPIErrorCode(w, http.StatusBadRequest, CodeBadOption,
+				writeAPIErrorCode(w, http.StatusBadRequest, fusionclient.CodeBadOption,
 					fmt.Sprintf("bad limit %q", q.Get(key)))
 				return
 			}
@@ -297,7 +275,7 @@ func (p *Pool) handleListJobs(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	statuses := p.Jobs(state, limit)
-	jobs := make([]*jobJSON, len(statuses))
+	jobs := make([]*fusionclient.Job, len(statuses))
 	for i, st := range statuses {
 		jobs[i] = statusJSON(st)
 	}
@@ -311,7 +289,7 @@ func (p *Pool) handleGetJob(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	q := r.URL.Query()
 	if _, err := queryKeys(q, "wait"); err != nil {
-		writeAPIErrorCode(w, http.StatusBadRequest, CodeBadOption, err.Error())
+		writeAPIErrorCode(w, http.StatusBadRequest, fusionclient.CodeBadOption, err.Error())
 		return
 	}
 	if !q.Has("wait") {
@@ -328,7 +306,7 @@ func (p *Pool) handleGetJob(w http.ResponseWriter, r *http.Request) {
 	waitStr := q.Get("wait")
 	d, err := time.ParseDuration(waitStr)
 	if err != nil || d <= 0 {
-		writeAPIErrorCode(w, http.StatusBadRequest, CodeBadOption,
+		writeAPIErrorCode(w, http.StatusBadRequest, fusionclient.CodeBadOption,
 			fmt.Sprintf("bad wait %q (want a positive duration like 30s)", waitStr))
 		return
 	}
@@ -338,7 +316,7 @@ func (p *Pool) handleGetJob(w http.ResponseWriter, r *http.Request) {
 	// Count a park only when the wait will actually block on a
 	// non-terminal job (the common fast path — polling a finished job —
 	// is not a park).
-	if st, err := p.Status(id); err == nil && !st.State.terminal() {
+	if st, err := p.Status(id); err == nil && !st.State.Terminal() {
 		p.metrics.longpollParks.Inc()
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), d)
@@ -385,12 +363,12 @@ func (p *Pool) handleJobResult(w http.ResponseWriter, r *http.Request) {
 	}
 	switch st.State {
 	case StateFailed:
-		writeAPIErrorCode(w, http.StatusConflict, CodeJobFailed,
+		writeAPIErrorCode(w, http.StatusConflict, fusionclient.CodeJobFailed,
 			fmt.Sprintf("job %s failed: %v", id, st.Err))
 		return
 	case StateDone:
 	default:
-		writeAPIErrorCode(w, http.StatusConflict, CodeJobNotFinished,
+		writeAPIErrorCode(w, http.StatusConflict, fusionclient.CodeJobNotFinished,
 			fmt.Sprintf("job %s is %s", id, st.State))
 		return
 	}
@@ -461,7 +439,7 @@ func (p *Pool) handleRegisterScene(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	badPayload := func(msg string) {
-		writeAPIErrorCode(w, http.StatusBadRequest, CodeBadPayload, msg)
+		writeAPIErrorCode(w, http.StatusBadRequest, fusionclient.CodeBadPayload, msg)
 	}
 	mr, err := r.MultipartReader()
 	if err != nil {
@@ -509,7 +487,7 @@ func (p *Pool) handleFuseScene(w http.ResponseWriter, r *http.Request) {
 	}
 	opts, err := decodeOptionsBody(r.Body)
 	if err != nil {
-		writeAPIErrorCode(w, http.StatusBadRequest, CodeBadOption, err.Error())
+		writeAPIErrorCode(w, http.StatusBadRequest, fusionclient.CodeBadOption, err.Error())
 		return
 	}
 	st, err := p.FuseScene(r.PathValue("id"), opts)

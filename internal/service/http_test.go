@@ -3,17 +3,25 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"image/png"
 	"io"
 	"mime/multipart"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
+	"reflect"
 	"regexp"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"resilientfusion/fusionclient"
 	"resilientfusion/internal/core"
 	"resilientfusion/internal/hsi"
 	"resilientfusion/internal/scene"
@@ -49,10 +57,10 @@ func postCubeV2(t *testing.T, client *http.Client, url string, cube *hsi.Cube, o
 	return resp
 }
 
-func decodeJob(t *testing.T, resp *http.Response) jobJSON {
+func decodeJob(t *testing.T, resp *http.Response) fusionclient.Job {
 	t.Helper()
 	defer resp.Body.Close()
-	var out jobJSON
+	var out fusionclient.Job
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +154,7 @@ func TestV2SubmitLongPollResult(t *testing.T) {
 	if ct := r.Header.Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
 		t.Fatalf("default result content type %q", ct)
 	}
-	var sum resultJSON
+	var sum fusionclient.ResultSummary
 	if err := json.NewDecoder(r.Body).Decode(&sum); err != nil {
 		t.Fatal(err)
 	}
@@ -203,26 +211,26 @@ func TestV2ErrorEnvelope(t *testing.T) {
 
 	// Unknown option key in the JSON body.
 	resp := postCubeV2(t, client, srv.URL+"/v2/jobs", cube, `{"granularty": 8}`)
-	wantEnvelope(t, resp, http.StatusBadRequest, CodeBadOption)
+	wantEnvelope(t, resp, http.StatusBadRequest, fusionclient.CodeBadOption)
 
 	// Malformed options JSON.
 	resp = postCubeV2(t, client, srv.URL+"/v2/jobs", cube, `{"granularity": }`)
-	wantEnvelope(t, resp, http.StatusBadRequest, CodeBadOption)
+	wantEnvelope(t, resp, http.StatusBadRequest, fusionclient.CodeBadOption)
 
 	// Trailing junk after the options object.
 	resp = postCubeV2(t, client, srv.URL+"/v2/jobs", cube, `{"granularity": 2} {"x": 1}`)
-	wantEnvelope(t, resp, http.StatusBadRequest, CodeBadOption)
+	wantEnvelope(t, resp, http.StatusBadRequest, fusionclient.CodeBadOption)
 
 	// Out-of-range option value (validated at submit).
 	resp = postCubeV2(t, client, srv.URL+"/v2/jobs", cube, `{"threshold": 7}`)
-	wantEnvelope(t, resp, http.StatusBadRequest, CodeBadOption)
+	wantEnvelope(t, resp, http.StatusBadRequest, fusionclient.CodeBadOption)
 
 	// Non-multipart body.
 	r, err := client.Post(srv.URL+"/v2/jobs", "application/octet-stream", strings.NewReader("raw"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantEnvelope(t, r, http.StatusBadRequest, CodeBadPayload)
+	wantEnvelope(t, r, http.StatusBadRequest, fusionclient.CodeBadPayload)
 
 	// Garbage cube part.
 	var body bytes.Buffer
@@ -234,7 +242,7 @@ func TestV2ErrorEnvelope(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantEnvelope(t, r, http.StatusBadRequest, CodeBadPayload)
+	wantEnvelope(t, r, http.StatusBadRequest, fusionclient.CodeBadPayload)
 
 	// A part trailing the cube (here: options in the wrong order) must
 	// be rejected, not silently dropped.
@@ -251,7 +259,7 @@ func TestV2ErrorEnvelope(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantEnvelope(t, r, http.StatusBadRequest, CodeBadPayload)
+	wantEnvelope(t, r, http.StatusBadRequest, fusionclient.CodeBadPayload)
 
 	// Unknown job: status, long-poll, and result all 404 with the code.
 	for _, path := range []string{"/v2/jobs/job-999999", "/v2/jobs/job-999999?wait=1s", "/v2/jobs/job-999999/result"} {
@@ -259,7 +267,7 @@ func TestV2ErrorEnvelope(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantEnvelope(t, r, http.StatusNotFound, CodeUnknownJob)
+		wantEnvelope(t, r, http.StatusNotFound, fusionclient.CodeUnknownJob)
 	}
 
 	// Bad wait duration and unknown query keys.
@@ -272,7 +280,7 @@ func TestV2ErrorEnvelope(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantEnvelope(t, r, http.StatusBadRequest, CodeBadOption)
+		wantEnvelope(t, r, http.StatusBadRequest, fusionclient.CodeBadOption)
 	}
 
 	// Unknown scene on fuse and info.
@@ -280,12 +288,12 @@ func TestV2ErrorEnvelope(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantEnvelope(t, r, http.StatusNotFound, CodeUnknownScene)
+	wantEnvelope(t, r, http.StatusNotFound, fusionclient.CodeUnknownScene)
 	r, err = client.Get(srv.URL + "/v2/scenes/scene-999")
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantEnvelope(t, r, http.StatusNotFound, CodeUnknownScene)
+	wantEnvelope(t, r, http.StatusNotFound, fusionclient.CodeUnknownScene)
 
 	// Bad list filters.
 	for _, q := range []string{"state=bogus", "limit=0", "limit=x", "foo=1", "state=done&state=failed"} {
@@ -293,7 +301,7 @@ func TestV2ErrorEnvelope(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantEnvelope(t, r, http.StatusBadRequest, CodeBadOption)
+		wantEnvelope(t, r, http.StatusBadRequest, fusionclient.CodeBadOption)
 	}
 
 	// Endpoints that take no query parameters reject stray ones too —
@@ -308,7 +316,7 @@ func TestV2ErrorEnvelope(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantEnvelope(t, r, http.StatusBadRequest, CodeBadOption)
+		wantEnvelope(t, r, http.StatusBadRequest, fusionclient.CodeBadOption)
 	}
 
 	// Same on the mutating endpoints: v1-style query options on a v2
@@ -317,9 +325,9 @@ func TestV2ErrorEnvelope(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantEnvelope(t, r, http.StatusBadRequest, CodeBadOption)
+	wantEnvelope(t, r, http.StatusBadRequest, fusionclient.CodeBadOption)
 	resp = postCubeV2(t, client, srv.URL+"/v2/jobs?granularity=3", cube, "")
-	wantEnvelope(t, resp, http.StatusBadRequest, CodeBadOption)
+	wantEnvelope(t, resp, http.StatusBadRequest, fusionclient.CodeBadOption)
 }
 
 // TestV2OversizedCube maps an over-limit upload to payload_too_large.
@@ -337,7 +345,7 @@ func TestV2OversizedCube(t *testing.T) {
 	defer srv.Close()
 
 	resp := postCubeV2(t, srv.Client(), srv.URL+"/v2/jobs", testCube(t, 2), "")
-	wantEnvelope(t, resp, http.StatusRequestEntityTooLarge, CodePayloadTooLarge)
+	wantEnvelope(t, resp, http.StatusRequestEntityTooLarge, fusionclient.CodePayloadTooLarge)
 }
 
 // TestV2QueueFullAndNotFinished exercises admission rejection and the
@@ -368,7 +376,7 @@ func TestV2QueueFullAndNotFinished(t *testing.T) {
 	if got := resp.Header.Get("Retry-After"); got != queueFullRetryAfter {
 		t.Fatalf("queue_full Retry-After = %q, want %q", got, queueFullRetryAfter)
 	}
-	wantEnvelope(t, resp, http.StatusServiceUnavailable, CodeQueueFull)
+	wantEnvelope(t, resp, http.StatusServiceUnavailable, fusionclient.CodeQueueFull)
 
 	// A queued job has no result yet: the conflict code, not a 404.
 	r, err := client.Get(srv.URL + "/v2/jobs/" + queued.ID + "/result")
@@ -376,7 +384,7 @@ func TestV2QueueFullAndNotFinished(t *testing.T) {
 		t.Fatal(err)
 	}
 	if st, err := pool.Status(queued.ID); err == nil && st.State != StateDone && st.State != StateFailed {
-		wantEnvelope(t, r, http.StatusConflict, CodeJobNotFinished)
+		wantEnvelope(t, r, http.StatusConflict, fusionclient.CodeJobNotFinished)
 	} else {
 		io.Copy(io.Discard, r.Body)
 		r.Body.Close()
@@ -413,7 +421,7 @@ func TestV2ExpiredImage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantEnvelope(t, r, http.StatusGone, CodeImageExpired)
+	wantEnvelope(t, r, http.StatusGone, fusionclient.CodeImageExpired)
 
 	// The scalar summary is retained past the image window.
 	r, err = srv.Client().Get(srv.URL + "/v2/jobs/" + first + "/result")
@@ -451,7 +459,7 @@ func TestV2JobsList(t *testing.T) {
 		}
 	}
 
-	list := func(query string) []jobJSON {
+	list := func(query string) []fusionclient.Job {
 		t.Helper()
 		r, err := client.Get(srv.URL + "/v2/jobs" + query)
 		if err != nil {
@@ -462,7 +470,7 @@ func TestV2JobsList(t *testing.T) {
 			t.Fatalf("list%s status %d", query, r.StatusCode)
 		}
 		var out struct {
-			Jobs []jobJSON `json:"jobs"`
+			Jobs []fusionclient.Job `json:"jobs"`
 		}
 		if err := json.NewDecoder(r.Body).Decode(&out); err != nil {
 			t.Fatal(err)
@@ -526,21 +534,21 @@ func TestV2SceneFlow(t *testing.T) {
 	}
 
 	// Truncated payload → bad_payload.
-	wantEnvelope(t, post(hdr, payload[:len(payload)-4]), http.StatusBadRequest, CodeBadPayload)
+	wantEnvelope(t, post(hdr, payload[:len(payload)-4]), http.StatusBadRequest, fusionclient.CodeBadPayload)
 
 	r := post(hdr, payload)
 	if r.StatusCode != http.StatusCreated {
 		body, _ := io.ReadAll(r.Body)
 		t.Fatalf("register status %d: %s", r.StatusCode, body)
 	}
-	var info SceneInfo
+	var info fusionclient.SceneInfo
 	if err := json.NewDecoder(r.Body).Decode(&info); err != nil {
 		t.Fatal(err)
 	}
 	r.Body.Close()
 
 	// Registry at capacity (MaxScenes: 1) → scene_limit.
-	wantEnvelope(t, post(hdr, payload), http.StatusServiceUnavailable, CodeSceneLimit)
+	wantEnvelope(t, post(hdr, payload), http.StatusServiceUnavailable, fusionclient.CodeSceneLimit)
 
 	// Fuse with options in the JSON body, long-poll to done.
 	r, err = client.Post(srv.URL+"/v2/scenes/"+info.ID+"/fuse", "application/json",
@@ -598,7 +606,7 @@ func TestV2SceneFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantEnvelope(t, r, http.StatusNotFound, CodeUnknownScene)
+	wantEnvelope(t, r, http.StatusNotFound, fusionclient.CodeUnknownScene)
 }
 
 // TestV2SceneTooLarge maps a header claiming more than the pool's scene
@@ -625,7 +633,7 @@ func TestV2SceneTooLarge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantEnvelope(t, r, http.StatusRequestEntityTooLarge, CodePayloadTooLarge)
+	wantEnvelope(t, r, http.StatusRequestEntityTooLarge, fusionclient.CodePayloadTooLarge)
 }
 
 // TestV2LongPollNonTerminal pins the wait-elapsed contract: when the
@@ -702,8 +710,8 @@ func TestHTTPBadRequests(t *testing.T) {
 		`{"parallelism": 1, "paralleliſm": 2}`,
 	} {
 		resp := postCubeV2(t, client, srv.URL+"/v2/jobs", cube, body)
-		wantEnvelope(t, resp, http.StatusBadRequest, CodeBadOption)
-		wantEnvelope(t, fuseScene(t, client, srv.URL, info.ID, body), http.StatusBadRequest, CodeBadOption)
+		wantEnvelope(t, resp, http.StatusBadRequest, fusionclient.CodeBadOption)
+		wantEnvelope(t, fuseScene(t, client, srv.URL, info.ID, body), http.StatusBadRequest, fusionclient.CodeBadOption)
 	}
 }
 
@@ -720,7 +728,7 @@ func TestHTTPNaNThreshold(t *testing.T) {
 
 	for _, v := range []string{"NaN", `"NaN"`, "1e999", "-1e999", `"+Inf"`} {
 		resp := postCubeV2(t, srv.Client(), srv.URL+"/v2/jobs", testCube(t, 2), `{"threshold": `+v+`}`)
-		wantEnvelope(t, resp, http.StatusBadRequest, CodeBadOption)
+		wantEnvelope(t, resp, http.StatusBadRequest, fusionclient.CodeBadOption)
 	}
 }
 
@@ -816,4 +824,264 @@ func TestOpenAPIMatchesMux(t *testing.T) {
 	if ops == 0 {
 		t.Fatal("no operations found in docs/openapi.yaml")
 	}
+}
+
+// wireSchemas names the Go type each docs/openapi.yaml component schema
+// describes. Every schema in the spec must appear here.
+var wireSchemas = map[string]reflect.Type{
+	"ErrorEnvelope": reflect.TypeFor[errorEnvelope](),
+	"Options":       reflect.TypeFor[fusionclient.Options](),
+	"JobOptions":    reflect.TypeFor[fusionclient.JobOptions](),
+	"TileProgress":  reflect.TypeFor[fusionclient.TileProgress](),
+	"ResultSummary": reflect.TypeFor[fusionclient.ResultSummary](),
+	"Job":           reflect.TypeFor[fusionclient.Job](),
+	"Span":          reflect.TypeFor[fusionclient.Span](),
+	"JobTrace":      reflect.TypeFor[fusionclient.JobTrace](),
+	"SceneInfo":     reflect.TypeFor[fusionclient.SceneInfo](),
+	"Stats":         reflect.TypeFor[fusionclient.Stats](),
+}
+
+// TestOpenAPISchemasMatchClient holds docs/openapi.yaml's
+// components.schemas to the one wire schema, fusionclient's types: each
+// schema's property names equal the JSON keys of its Go type in both
+// directions, recursing into nested objects (Stats.cluster and .store,
+// ResultSummary.phase_times, Job.trace's per-stage summaries) and
+// checking that every $ref names the field's type. The error-code enum
+// equals fusionclient's Code* constants and the job state enums equal
+// its State* constants.
+func TestOpenAPISchemasMatchClient(t *testing.T) {
+	spec, err := os.ReadFile("../../docs/openapi.yaml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	schemas := parseYAMLBlocks(string(spec)).child("components").child("schemas")
+	if schemas == nil || len(schemas.kids) == 0 {
+		t.Fatal("no components.schemas in docs/openapi.yaml")
+	}
+	for _, s := range schemas.kids {
+		typ, ok := wireSchemas[s.key]
+		if !ok {
+			t.Errorf("schema %s has no Go type in wireSchemas", s.key)
+			continue
+		}
+		checkSchemaKeys(t, s.key, s, typ)
+	}
+	for name := range wireSchemas {
+		if schemas.child(name) == nil {
+			t.Errorf("wireSchemas names %s, which docs/openapi.yaml does not declare", name)
+		}
+	}
+
+	codes := clientConsts(t, "Code")
+	enum := func(path ...string) []string {
+		n := schemas
+		for _, k := range path {
+			n = n.child(k)
+		}
+		return n.enum()
+	}
+	if got := enum("ErrorEnvelope", "properties", "error", "properties", "code", "enum"); !sameSet(got, codes) {
+		t.Errorf("ErrorEnvelope code enum %v, fusionclient Code* constants %v", got, codes)
+	}
+	states := clientConsts(t, "State")
+	for _, schema := range []string{"Job", "JobTrace"} {
+		if got := enum(schema, "properties", "state", "enum"); !sameSet(got, states) {
+			t.Errorf("%s state enum %v, fusionclient State* constants %v", schema, got, states)
+		}
+	}
+}
+
+// checkSchemaKeys compares a schema node's properties with typ's JSON
+// keys, both ways, and recurses into nested objects.
+func checkSchemaKeys(t *testing.T, path string, node *yamlNode, typ reflect.Type) {
+	t.Helper()
+	props := node.child("properties")
+	if props == nil {
+		t.Errorf("%s: spec lists no properties for %s", path, typ)
+		return
+	}
+	fields := map[string]reflect.Type{}
+	for i := range typ.NumField() {
+		f := typ.Field(i)
+		name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		if !f.IsExported() || name == "-" {
+			continue
+		}
+		if name == "" {
+			name = f.Name
+		}
+		fields[name] = f.Type
+	}
+	for _, p := range props.kids {
+		ft, ok := fields[p.key]
+		if !ok {
+			t.Errorf("%s.%s: spec property is not a JSON key of %s", path, p.key, typ)
+			continue
+		}
+		checkPropertyKeys(t, path+"."+p.key, p, ft)
+	}
+	for key := range fields {
+		if props.child(key) == nil {
+			t.Errorf("%s.%s: JSON key of %s is missing from the spec", path, key, typ)
+		}
+	}
+}
+
+func checkPropertyKeys(t *testing.T, path string, p *yamlNode, ft reflect.Type) {
+	t.Helper()
+	for ft.Kind() == reflect.Pointer {
+		ft = ft.Elem()
+	}
+	switch {
+	case p.ref() != "":
+		if want := wireSchemas[p.ref()]; want != ft {
+			t.Errorf("%s: spec refers to %s (%v), Go field is %v", path, p.ref(), want, ft)
+		}
+	case p.child("properties") != nil:
+		checkSchemaKeys(t, path, p, ft)
+	case p.child("additionalProperties") != nil && ft.Kind() == reflect.Map:
+		checkPropertyKeys(t, path+"[*]", p.child("additionalProperties"), ft.Elem())
+	case p.child("items") != nil && ft.Kind() == reflect.Slice:
+		checkPropertyKeys(t, path+"[]", p.child("items"), ft.Elem())
+	default:
+		for ft.Kind() == reflect.Pointer || ft.Kind() == reflect.Slice || ft.Kind() == reflect.Map {
+			ft = ft.Elem()
+		}
+		if ft.Kind() == reflect.Struct && ft != reflect.TypeFor[time.Time]() {
+			t.Errorf("%s: %v is an object whose keys the spec does not list", path, ft)
+		}
+	}
+}
+
+// clientConsts returns the values of fusionclient's string constants
+// whose names start with prefix, read from its source.
+func clientConsts(t *testing.T, prefix string) []string {
+	t.Helper()
+	fset := token.NewFileSet()
+	files, err := filepath.Glob("../../fusionclient/*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			gd, ok := decl.(*ast.GenDecl)
+			if !ok || gd.Tok != token.CONST {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				vs := spec.(*ast.ValueSpec)
+				for i, name := range vs.Names {
+					if !strings.HasPrefix(name.Name, prefix) || i >= len(vs.Values) {
+						continue
+					}
+					if lit, ok := vs.Values[i].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+						v, _ := strconv.Unquote(lit.Value)
+						out = append(out, v)
+					}
+				}
+			}
+		}
+	}
+	if len(out) == 0 {
+		t.Fatalf("no %s* constants found in fusionclient", prefix)
+	}
+	return out
+}
+
+func sameSet(a, b []string) bool {
+	a, b = slices.Sorted(slices.Values(a)), slices.Sorted(slices.Values(b))
+	return slices.Equal(a, b)
+}
+
+// yamlNode is one mapping key of a block-style YAML document: its
+// inline value, nested keys, and "- item" list entries. It covers the
+// subset docs/openapi.yaml uses; folded scalars (">") are skipped.
+type yamlNode struct {
+	key, value string
+	indent     int
+	kids       []*yamlNode
+	items      []string
+}
+
+func (n *yamlNode) child(key string) *yamlNode {
+	if n == nil {
+		return nil
+	}
+	for _, k := range n.kids {
+		if k.key == key {
+			return k
+		}
+	}
+	return nil
+}
+
+var yamlRef = regexp.MustCompile(`\$ref:\s*"#/components/schemas/(\w+)"`)
+
+// ref is the schema a node refers to by an inline { $ref: "..." }.
+func (n *yamlNode) ref() string {
+	if m := yamlRef.FindStringSubmatch(n.value); m != nil {
+		return m[1]
+	}
+	return ""
+}
+
+// enum is a node's list: a flow sequence ([a, b]) or "- item" lines.
+func (n *yamlNode) enum() []string {
+	if n == nil {
+		return nil
+	}
+	if v, ok := strings.CutPrefix(n.value, "["); ok {
+		var out []string
+		for _, item := range strings.Split(strings.TrimSuffix(v, "]"), ",") {
+			out = append(out, strings.TrimSpace(item))
+		}
+		return out
+	}
+	return n.items
+}
+
+func parseYAMLBlocks(text string) *yamlNode {
+	keyLine := regexp.MustCompile(`^( *)([A-Za-z_$][\w$-]*):(?:\s+(.*))?$`)
+	itemLine := regexp.MustCompile(`^( *)- (.*)$`)
+	root := &yamlNode{indent: -1}
+	stack := []*yamlNode{root}
+	folded := -1 // indent of a key whose folded scalar is being skipped
+	for _, line := range strings.Split(text, "\n") {
+		trimmed := strings.TrimSpace(line)
+		if trimmed == "" || strings.HasPrefix(trimmed, "#") {
+			continue
+		}
+		indent := len(line) - len(strings.TrimLeft(line, " "))
+		if folded >= 0 && indent > folded {
+			continue
+		}
+		folded = -1
+		for stack[len(stack)-1].indent >= indent {
+			stack = stack[:len(stack)-1]
+		}
+		parent := stack[len(stack)-1]
+		if m := itemLine.FindStringSubmatch(line); m != nil {
+			parent.items = append(parent.items, strings.TrimSpace(m[2]))
+			continue
+		}
+		m := keyLine.FindStringSubmatch(line)
+		if m == nil {
+			continue
+		}
+		n := &yamlNode{key: m[2], value: strings.TrimSpace(m[3]), indent: indent}
+		parent.kids = append(parent.kids, n)
+		stack = append(stack, n)
+		if n.value == ">" || n.value == "|" {
+			folded = indent
+		}
+	}
+	return root
 }

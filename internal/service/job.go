@@ -6,28 +6,24 @@ import (
 	"sync/atomic"
 	"time"
 
+	"resilientfusion/fusionclient"
 	"resilientfusion/internal/core"
 	"resilientfusion/internal/hsi"
 	"resilientfusion/internal/scene"
 	"resilientfusion/internal/telemetry"
 )
 
-// JobState is a job's position in its lifecycle.
-type JobState string
+// JobState is a job's position in its lifecycle; a job is terminal
+// (its done channel closed, its snapshot fixed) once State.Terminal().
+type JobState = fusionclient.JobState
 
 const (
-	StateQueued   JobState = "queued"
-	StateRunning  JobState = "running"
-	StateDone     JobState = "done"
-	StateFailed   JobState = "failed"
-	StateCanceled JobState = "canceled"
+	StateQueued   = fusionclient.StateQueued
+	StateRunning  = fusionclient.StateRunning
+	StateDone     = fusionclient.StateDone
+	StateFailed   = fusionclient.StateFailed
+	StateCanceled = fusionclient.StateCanceled
 )
-
-// terminal reports whether s is a final state: the job's done channel is
-// closed and its snapshot no longer changes.
-func (s JobState) terminal() bool {
-	return s == StateDone || s == StateFailed || s == StateCanceled
-}
 
 // Job is one fusion request moving through the pool.
 type Job struct {
@@ -78,15 +74,6 @@ type Job struct {
 	png   []byte
 }
 
-// TileProgress is a scene job's per-tile pipeline position: each tile
-// passes screening and then the transform, so Transformed trails
-// Screened and both end at Total.
-type TileProgress struct {
-	Total       int `json:"total"`
-	Screened    int `json:"screened"`
-	Transformed int `json:"transformed"`
-}
-
 // JobStatus is an immutable snapshot of a job.
 type JobStatus struct {
 	ID    string
@@ -102,8 +89,10 @@ type JobStatus struct {
 	// defaults-filled, including the pool-fixed worker count — so clients
 	// can see what their submission actually meant.
 	Options core.Options
-	// Progress is set for scene jobs.
-	Progress *TileProgress
+	// Progress is set for scene jobs: each tile passes screening and
+	// then the transform, so Transformed trails Screened and both end at
+	// Total.
+	Progress *fusionclient.TileProgress
 	// Trace summarizes the job's recorded stage spans (count and summed
 	// seconds per stage); empty until the run records spans. The full
 	// timeline is served by GET /v2/jobs/{id}/trace.
@@ -114,11 +103,11 @@ type JobStatus struct {
 }
 
 // progress snapshots the tile counters (nil for non-scene jobs).
-func (j *Job) progress() *TileProgress {
+func (j *Job) progress() *fusionclient.TileProgress {
 	if j.sceneID == "" {
 		return nil
 	}
-	return &TileProgress{
+	return &fusionclient.TileProgress{
 		Total:       j.tilesTotal,
 		Screened:    int(j.tilesScreened.Load()),
 		Transformed: int(j.tilesTransformed.Load()),

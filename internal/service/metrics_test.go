@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"resilientfusion/fusionclient"
 	"resilientfusion/internal/scene"
 	"resilientfusion/internal/telemetry"
 )
@@ -165,7 +166,7 @@ func TestSceneJobTraceEndpoint(t *testing.T) {
 	if tr.StatusCode != http.StatusOK {
 		t.Fatalf("trace status %d", tr.StatusCode)
 	}
-	var timeline JobTrace
+	var timeline fusionclient.JobTrace
 	if err := json.NewDecoder(tr.Body).Decode(&timeline); err != nil {
 		t.Fatal(err)
 	}
@@ -217,5 +218,5 @@ func TestSceneJobTraceEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantEnvelope(t, bad, http.StatusNotFound, CodeUnknownJob)
+	wantEnvelope(t, bad, http.StatusNotFound, fusionclient.CodeUnknownJob)
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"testing"
 
+	"resilientfusion/fusionclient"
 	"resilientfusion/internal/core"
 )
 
@@ -13,7 +14,7 @@ import (
 // zero options; and any body it accepts canonicalizes stably —
 // Canonical is idempotent, ResultKey is invariant under
 // canonicalization, and re-marshaling the decoded knobs through
-// OptionsJSON reproduces the identical core.Options.
+// fusionclient.Options reproduces the identical core.Options.
 func FuzzOptionsJSON(f *testing.F) {
 	f.Add([]byte(""))
 	f.Add([]byte("{}"))
@@ -50,7 +51,7 @@ func FuzzOptionsJSON(f *testing.F) {
 			t.Fatalf("ResultKey changed under canonicalization: %q -> %q", ck, ok)
 		}
 
-		oj := OptionsJSON{
+		oj := fusionclient.Options{
 			Granularity: &opts.Granularity,
 			Prefetch:    &opts.Prefetch,
 			Threshold:   &opts.Threshold,

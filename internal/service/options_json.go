@@ -10,33 +10,19 @@ import (
 	"strings"
 	"unicode"
 
+	"resilientfusion/fusionclient"
 	"resilientfusion/internal/core"
 )
 
-// OptionsJSON is the client-settable fusion knobs as they travel on the
-// wire: the JSON options body of job submissions and scene fuses.
-// Pointer fields keep absent knobs off the wire; an explicitly sent zero
-// means "pool default" (core.Options treats zero as unset throughout).
-// Workers, replication, and scheduling policy are fixed by the pool and
-// not settable here.
-type OptionsJSON struct {
-	Granularity *int     `json:"granularity,omitempty"`
-	Prefetch    *int     `json:"prefetch,omitempty"`
-	Threshold   *float64 `json:"threshold,omitempty"`
-	Components  *int     `json:"components,omitempty"`
-	Parallelism *int     `json:"parallelism,omitempty"`
-	// Algorithm selects the fusion algorithm by registry name ("pct",
-	// "pyramid", "dwt"); absent or empty selects "pct". Unknown names are
-	// rejected at submit with bad_option.
-	Algorithm *string `json:"algorithm,omitempty"`
-}
-
-// Options validates the wire form and lowers it onto core.Options (not
-// yet canonicalized — the pool's canonicalOptions applies defaults and
-// policy). Range checks beyond representability live in
-// canonicalOptions; this layer rejects values JSON can carry but no
-// computation can mean.
-func (o OptionsJSON) Options() (core.Options, error) {
+// lowerOptions validates a decoded options body and lowers it onto
+// core.Options (not yet canonicalized — the pool's canonicalOptions
+// applies defaults and policy). Absent knobs stay zero, and an
+// explicitly sent zero also means "pool default" (core.Options treats
+// zero as unset throughout); workers, replication and scheduling policy
+// are fixed by the pool and not settable. Range checks beyond
+// representability live in canonicalOptions; this layer rejects values
+// JSON can carry but no computation can mean.
+func lowerOptions(o fusionclient.Options) (core.Options, error) {
 	var opts core.Options
 	if o.Granularity != nil {
 		opts.Granularity = *o.Granularity
@@ -80,8 +66,8 @@ func decodeOptionsBody(r io.Reader) (core.Options, error) {
 	}
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
-	var oj OptionsJSON
-	if err := dec.Decode(&oj); err != nil {
+	var o fusionclient.Options
+	if err := dec.Decode(&o); err != nil {
 		if errors.Is(err, io.EOF) {
 			return core.Options{}, nil
 		}
@@ -92,7 +78,7 @@ func decodeOptionsBody(r io.Reader) (core.Options, error) {
 	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
 		return core.Options{}, errors.New("bad options JSON: trailing data after options object")
 	}
-	return oj.Options()
+	return lowerOptions(o)
 }
 
 // duplicateKey finds a top-level key given twice in a JSON object —
@@ -138,21 +124,11 @@ func foldRune(r rune) rune {
 	}
 }
 
-// JobOptions is the canonical options echo in job status: every knob the
-// job actually ran with, defaults filled in, including the pool-fixed
-// worker count.
-type JobOptions struct {
-	Workers     int     `json:"workers"`
-	Granularity int     `json:"granularity"`
-	Prefetch    int     `json:"prefetch"`
-	Threshold   float64 `json:"threshold"`
-	Components  int     `json:"components"`
-	Parallelism int     `json:"parallelism"`
-	Algorithm   string  `json:"algorithm"`
-}
-
-func jobOptions(o core.Options) *JobOptions {
-	return &JobOptions{
+// jobOptions is the canonical options echo in job status and the
+// journal's options record: every knob the job actually ran with,
+// defaults filled in, including the pool-fixed worker count.
+func jobOptions(o core.Options) *fusionclient.JobOptions {
+	return &fusionclient.JobOptions{
 		Workers:     o.Workers,
 		Granularity: o.Granularity,
 		Prefetch:    o.Prefetch,

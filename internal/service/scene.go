@@ -9,6 +9,7 @@ import (
 	"sort"
 	"time"
 
+	"resilientfusion/fusionclient"
 	"resilientfusion/internal/core"
 	"resilientfusion/internal/hsi"
 	"resilientfusion/internal/scene"
@@ -50,30 +51,14 @@ func (e *sceneEntry) removeFiles() {
 	os.Remove(scene.HeaderPath(e.dataPath))
 }
 
-// SceneInfo is a registry snapshot for clients.
-type SceneInfo struct {
-	ID         string           `json:"id"`
-	Width      int              `json:"width"`
-	Height     int              `json:"height"`
-	Bands      int              `json:"bands"`
-	Interleave scene.Interleave `json:"interleave"`
-	DataType   int              `json:"data_type"`
-	Bytes      int64            `json:"bytes"`
-	Digest     string           `json:"digest,omitempty"`
-	Registered time.Time        `json:"registered"`
-	// LastDoneJob is the ID of the scene's most recent successful fuse
-	// (empty until one completes); GET /v2/jobs/{id}/result serves its
-	// composite.
-	LastDoneJob string `json:"last_done_job,omitempty"`
-}
-
-func (p *Pool) sceneInfoLocked(e *sceneEntry) SceneInfo {
-	return SceneInfo{
+// sceneInfoLocked is the client-facing snapshot of a registry entry.
+func (p *Pool) sceneInfoLocked(e *sceneEntry) fusionclient.SceneInfo {
+	return fusionclient.SceneInfo{
 		ID:          e.id,
 		Width:       e.h.Samples,
 		Height:      e.h.Lines,
 		Bands:       e.h.Bands,
-		Interleave:  e.h.Interleave,
+		Interleave:  string(e.h.Interleave),
 		DataType:    int(e.h.DataType),
 		Bytes:       e.h.DataBytes(),
 		Digest:      e.digest,
@@ -90,25 +75,25 @@ func (p *Pool) sceneInfoLocked(e *sceneEntry) SceneInfo {
 // is computed by streaming row windows; it equals the digest of the
 // equivalent in-memory cube, so scene fusions and cube uploads share
 // cache entries.
-func (p *Pool) RegisterScene(headerText string, data io.Reader) (SceneInfo, error) {
+func (p *Pool) RegisterScene(headerText string, data io.Reader) (fusionclient.SceneInfo, error) {
 	h, err := scene.ParseHeader(headerText)
 	if err != nil {
-		return SceneInfo{}, err
+		return fusionclient.SceneInfo{}, err
 	}
 	claimed := h.Offset + h.DataBytes()
 	if claimed > p.cfg.MaxSceneBytes {
-		return SceneInfo{}, fmt.Errorf("%w: header claims %d bytes, limit %d",
+		return fusionclient.SceneInfo{}, fmt.Errorf("%w: header claims %d bytes, limit %d",
 			ErrSceneTooLarge, claimed, p.cfg.MaxSceneBytes)
 	}
 
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
-		return SceneInfo{}, ErrClosed
+		return fusionclient.SceneInfo{}, ErrClosed
 	}
 	if len(p.scenes) >= p.cfg.MaxScenes {
 		p.mu.Unlock()
-		return SceneInfo{}, fmt.Errorf("%w: %d scenes registered", ErrSceneLimit, p.cfg.MaxScenes)
+		return fusionclient.SceneInfo{}, fmt.Errorf("%w: %d scenes registered", ErrSceneLimit, p.cfg.MaxScenes)
 	}
 	p.nextScene++
 	seq := p.nextScene
@@ -118,14 +103,14 @@ func (p *Pool) RegisterScene(headerText string, data io.Reader) (SceneInfo, erro
 
 	dataPath := filepath.Join(spool, id+".raw")
 	if err := spoolExact(dataPath, data, claimed); err != nil {
-		return SceneInfo{}, err
+		return fusionclient.SceneInfo{}, err
 	}
 	p.metrics.sceneSpoolBytes.Add(claimed)
 	// The .hdr companion makes the spool self-describing for operators;
 	// the registry itself keeps the parsed header.
 	if err := os.WriteFile(scene.HeaderPath(dataPath), []byte(h.Marshal()), 0o644); err != nil {
 		os.Remove(dataPath)
-		return SceneInfo{}, err
+		return fusionclient.SceneInfo{}, err
 	}
 	return p.registerEntry(&sceneEntry{id: id, seq: seq, h: *h, dataPath: dataPath, owned: true})
 }
@@ -134,13 +119,13 @@ func (p *Pool) RegisterScene(headerText string, data io.Reader) (SceneInfo, erro
 // header or data path) without copying it; the files stay owned by the
 // caller. Intended for embedded pools (examples, local tools) — the HTTP
 // surface only exposes uploads.
-func (p *Pool) RegisterSceneFile(path string) (SceneInfo, error) {
+func (p *Pool) RegisterSceneFile(path string) (fusionclient.SceneInfo, error) {
 	r, err := scene.OpenLimit(path, p.cfg.MaxSceneBytes)
 	if err != nil {
 		if errors.Is(err, scene.ErrSceneTooLarge) {
 			err = fmt.Errorf("%w: %v", ErrSceneTooLarge, err)
 		}
-		return SceneInfo{}, err
+		return fusionclient.SceneInfo{}, err
 	}
 	h := r.Header()
 	dataPath := r.Path()
@@ -149,11 +134,11 @@ func (p *Pool) RegisterSceneFile(path string) (SceneInfo, error) {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
-		return SceneInfo{}, ErrClosed
+		return fusionclient.SceneInfo{}, ErrClosed
 	}
 	if len(p.scenes) >= p.cfg.MaxScenes {
 		p.mu.Unlock()
-		return SceneInfo{}, fmt.Errorf("%w: %d scenes registered", ErrSceneLimit, p.cfg.MaxScenes)
+		return fusionclient.SceneInfo{}, fmt.Errorf("%w: %d scenes registered", ErrSceneLimit, p.cfg.MaxScenes)
 	}
 	p.nextScene++
 	seq := p.nextScene
@@ -165,20 +150,20 @@ func (p *Pool) RegisterSceneFile(path string) (SceneInfo, error) {
 
 // registerEntry validates the spooled payload, computes the content
 // digest when caching is on, and publishes the entry.
-func (p *Pool) registerEntry(ent *sceneEntry) (SceneInfo, error) {
+func (p *Pool) registerEntry(ent *sceneEntry) (fusionclient.SceneInfo, error) {
 	r, err := scene.NewReader(ent.h, ent.dataPath)
 	if err != nil {
 		ent.removeFiles()
 		if errors.Is(err, scene.ErrPayloadSize) {
 			err = fmt.Errorf("%w: %v", ErrScenePayload, err)
 		}
-		return SceneInfo{}, err
+		return fusionclient.SceneInfo{}, err
 	}
 	if p.cfg.CacheEntries > 0 {
 		if ent.digest, err = r.Digest(); err != nil {
 			r.Close()
 			ent.removeFiles()
-			return SceneInfo{}, err
+			return fusionclient.SceneInfo{}, err
 		}
 	}
 	r.Close()
@@ -188,12 +173,12 @@ func (p *Pool) registerEntry(ent *sceneEntry) (SceneInfo, error) {
 	if p.closed {
 		p.mu.Unlock()
 		ent.removeFiles()
-		return SceneInfo{}, ErrClosed
+		return fusionclient.SceneInfo{}, ErrClosed
 	}
 	if len(p.scenes) >= p.cfg.MaxScenes {
 		p.mu.Unlock()
 		ent.removeFiles()
-		return SceneInfo{}, fmt.Errorf("%w: %d scenes registered", ErrSceneLimit, p.cfg.MaxScenes)
+		return fusionclient.SceneInfo{}, fmt.Errorf("%w: %d scenes registered", ErrSceneLimit, p.cfg.MaxScenes)
 	}
 	p.scenes[ent.id] = ent
 	info := p.sceneInfoLocked(ent)
@@ -208,7 +193,7 @@ func (p *Pool) registerEntry(ent *sceneEntry) (SceneInfo, error) {
 		delete(p.scenes, ent.id)
 		p.mu.Unlock()
 		ent.removeFiles()
-		return SceneInfo{}, err
+		return fusionclient.SceneInfo{}, err
 	}
 	return info, nil
 }
@@ -252,21 +237,21 @@ func spoolExact(path string, data io.Reader, claimed int64) error {
 }
 
 // Scene returns a registered scene's snapshot.
-func (p *Pool) Scene(id string) (SceneInfo, error) {
+func (p *Pool) Scene(id string) (fusionclient.SceneInfo, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	ent := p.scenes[id]
 	if ent == nil {
-		return SceneInfo{}, ErrUnknownScene
+		return fusionclient.SceneInfo{}, ErrUnknownScene
 	}
 	return p.sceneInfoLocked(ent), nil
 }
 
 // Scenes lists registered scenes in registration order.
-func (p *Pool) Scenes() []SceneInfo {
+func (p *Pool) Scenes() []fusionclient.SceneInfo {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	out := make([]SceneInfo, 0, len(p.scenes))
+	out := make([]fusionclient.SceneInfo, 0, len(p.scenes))
 	for _, ent := range p.scenes {
 		out = append(out, p.sceneInfoLocked(ent))
 	}

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"resilientfusion/fusionclient"
 	"resilientfusion/internal/core"
 	"resilientfusion/internal/hsi"
 	"resilientfusion/internal/scene"
@@ -75,7 +76,7 @@ func postScene(t *testing.T, client *http.Client, url, hdr string, data []byte) 
 }
 
 // pollJob long-polls a job over HTTP until it reaches a terminal state.
-func pollJob(t *testing.T, client *http.Client, base, id string) jobJSON {
+func pollJob(t *testing.T, client *http.Client, base, id string) fusionclient.Job {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for {
@@ -84,7 +85,7 @@ func pollJob(t *testing.T, client *http.Client, base, id string) jobJSON {
 			t.Fatal(err)
 		}
 		job := decodeJob(t, r)
-		if job.State.terminal() {
+		if job.State.Terminal() {
 			return job
 		}
 		if time.Now().After(deadline) {
@@ -104,7 +105,7 @@ func fuseScene(t *testing.T, client *http.Client, base, id, optionsJSON string) 
 }
 
 // registerScene uploads a scene and decodes the 201 scene info.
-func registerScene(t *testing.T, client *http.Client, base, hdr string, data []byte) SceneInfo {
+func registerScene(t *testing.T, client *http.Client, base, hdr string, data []byte) fusionclient.SceneInfo {
 	t.Helper()
 	resp := postScene(t, client, base+"/v2/scenes", hdr, data)
 	defer resp.Body.Close()
@@ -112,7 +113,7 @@ func registerScene(t *testing.T, client *http.Client, base, hdr string, data []b
 		body, _ := io.ReadAll(resp.Body)
 		t.Fatalf("scene register status %d: %s", resp.StatusCode, body)
 	}
-	var info SceneInfo
+	var info fusionclient.SceneInfo
 	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +130,7 @@ func sceneResultPNG(t *testing.T, client *http.Client, base, sceneID string) []b
 		t.Fatal(err)
 	}
 	defer r.Body.Close()
-	var info SceneInfo
+	var info fusionclient.SceneInfo
 	if err := json.NewDecoder(r.Body).Decode(&info); err != nil {
 		t.Fatal(err)
 	}
@@ -306,17 +307,17 @@ func TestSceneHTTPErrors(t *testing.T) {
 	hdr, data := enviPayload(t, small, scene.BIL)
 
 	// Truncated payload, oversized payload, malformed header.
-	wantEnvelope(t, postScene(t, client, base, hdr, data[:len(data)-5]), http.StatusBadRequest, CodeBadPayload)
+	wantEnvelope(t, postScene(t, client, base, hdr, data[:len(data)-5]), http.StatusBadRequest, fusionclient.CodeBadPayload)
 	wantEnvelope(t, postScene(t, client, base, hdr, append(append([]byte(nil), data...), 1, 2, 3)),
-		http.StatusBadRequest, CodeBadPayload)
-	wantEnvelope(t, postScene(t, client, base, "not an envi header", data), http.StatusBadRequest, CodeBadPayload)
+		http.StatusBadRequest, fusionclient.CodeBadPayload)
+	wantEnvelope(t, postScene(t, client, base, "not an envi header", data), http.StatusBadRequest, fusionclient.CodeBadPayload)
 
 	// Non-multipart body.
 	r, err := client.Post(base, "application/octet-stream", bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantEnvelope(t, r, http.StatusBadRequest, CodeBadPayload)
+	wantEnvelope(t, r, http.StatusBadRequest, fusionclient.CodeBadPayload)
 
 	// Unknown scene: fuse, info, delete.
 	for _, req := range []*http.Request{
@@ -328,7 +329,7 @@ func TestSceneHTTPErrors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantEnvelope(t, r, http.StatusNotFound, CodeUnknownScene)
+		wantEnvelope(t, r, http.StatusNotFound, fusionclient.CodeUnknownScene)
 	}
 
 	// Valid registration, then: no composite before any fuse; bad fuse
@@ -337,7 +338,7 @@ func TestSceneHTTPErrors(t *testing.T) {
 	if info.LastDoneJob != "" {
 		t.Fatalf("fresh scene names a completed fusion: %+v", info)
 	}
-	wantEnvelope(t, fuseScene(t, client, srv.URL, info.ID, `{"threshold": 9}`), http.StatusBadRequest, CodeBadOption)
+	wantEnvelope(t, fuseScene(t, client, srv.URL, info.ID, `{"threshold": 9}`), http.StatusBadRequest, fusionclient.CodeBadOption)
 
 	r5, err := client.Do(mustReq(t, http.MethodDelete, base+"/"+info.ID))
 	if err != nil {
@@ -347,7 +348,7 @@ func TestSceneHTTPErrors(t *testing.T) {
 		t.Fatalf("delete status %d", r5.StatusCode)
 	}
 	r5.Body.Close()
-	wantEnvelope(t, fuseScene(t, client, srv.URL, info.ID, ""), http.StatusNotFound, CodeUnknownScene)
+	wantEnvelope(t, fuseScene(t, client, srv.URL, info.ID, ""), http.StatusNotFound, fusionclient.CodeUnknownScene)
 }
 
 func mustReq(t *testing.T, method, url string) *http.Request {

@@ -26,6 +26,7 @@ import (
 	"sync"
 	"time"
 
+	"resilientfusion/fusionclient"
 	"resilientfusion/internal/core"
 	"resilientfusion/internal/fuse"
 	"resilientfusion/internal/hsi"
@@ -165,42 +166,6 @@ func (c Config) withDefaults() Config {
 		c.LogTo = telemetry.LogTo(c.Logger)
 	}
 	return c
-}
-
-// Stats is a point-in-time view of the pool for GET /v2/stats.
-type Stats struct {
-	Workers     int   `json:"workers"`
-	QueueDepth  int   `json:"queue_depth"` // jobs waiting
-	Running     int   `json:"running"`
-	Submitted   int64 `json:"submitted"`
-	Completed   int64 `json:"completed"`
-	Failed      int64 `json:"failed"`
-	Rejected    int64 `json:"rejected"`
-	CacheHits   int64 `json:"cache_hits"`
-	CacheMisses int64 `json:"cache_misses"`
-	CacheSize   int   `json:"cache_size"`
-	// Throughput is completed jobs per second since the pool started.
-	Throughput    float64 `json:"throughput_jobs_per_s"`
-	UptimeSeconds float64 `json:"uptime_seconds"`
-	// Cluster reports cluster-mode state; null when cluster mode is off.
-	Cluster *ClusterStats `json:"cluster,omitempty"`
-	// Store reports the durable control plane; null when JournalDir is
-	// unset.
-	Store *StoreStats `json:"store,omitempty"`
-}
-
-// StoreStats is the durable-control-plane section of Stats.
-type StoreStats struct {
-	// JournalRecords counts lifecycle records fsync'd this process life;
-	// RecoveredJobs counts jobs re-admitted from the journal at boot.
-	JournalRecords int64 `json:"journal_records"`
-	RecoveredJobs  int64 `json:"recovered_jobs"`
-	// Spill tier: lookups served from / missed by disk, and what is
-	// resident there now.
-	SpillHits      int64 `json:"spill_hits"`
-	SpillMisses    int64 `json:"spill_misses"`
-	SpilledEntries int   `json:"spilled_entries"`
-	SpilledBytes   int64 `json:"spilled_bytes"`
 }
 
 // Pool is the multi-job fusion service.
@@ -659,14 +624,17 @@ func (b *pngBufferPool) Get() *png.EncoderBuffer {
 
 func (b *pngBufferPool) Put(eb *png.EncoderBuffer) { b.p.Put(eb) }
 
-// Stats reports the pool's counters, read from the same telemetry
-// registry the Prometheus exposition serves.
-func (p *Pool) Stats() Stats {
+// Stats reports the pool's counters for GET /v2/stats, read from the
+// same telemetry registry the Prometheus exposition serves. Throughput
+// is completed jobs per second since the pool started; the Cluster
+// section is set in cluster mode and the Store section when JournalDir
+// is set.
+func (p *Pool) Stats() fusionclient.Stats {
 	hits, misses, size := p.cache.counters()
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	up := time.Since(p.t0).Seconds()
-	s := Stats{
+	s := fusionclient.Stats{
 		Workers:       p.cfg.Workers,
 		QueueDepth:    len(p.queue),
 		Running:       p.running,
@@ -687,7 +655,7 @@ func (p *Pool) Stats() Stats {
 	}
 	if p.journal != nil {
 		entries, bytes := p.cache.spillStats()
-		s.Store = &StoreStats{
+		s.Store = &fusionclient.StoreStats{
 			JournalRecords: p.metrics.journalRecords.Value(),
 			RecoveredJobs:  p.metrics.recoveredJobs.Value(),
 			SpillHits:      p.metrics.cacheSpillHits.Value(),
@@ -943,20 +911,9 @@ func (p *Pool) snapshotLocked(job *Job) JobStatus {
 	}
 }
 
-// JobTrace is a job's full recorded span timeline, the resource behind
-// GET /v2/jobs/{id}/trace.
-type JobTrace struct {
-	JobID string   `json:"job_id"`
-	State JobState `json:"state"`
-	// Spans is the timeline, oldest first; ring overwrites drop the
-	// oldest spans and count into Dropped.
-	Spans   []telemetry.Span `json:"spans"`
-	Dropped int64            `json:"dropped,omitempty"`
-}
-
 // Trace returns the job's recorded span timeline. A job that has not
 // started (or ran entirely from cache) reports an empty span list.
-func (p *Pool) Trace(id string) (JobTrace, error) {
+func (p *Pool) Trace(id string) (fusionclient.JobTrace, error) {
 	p.mu.Lock()
 	job := p.jobs[id]
 	var state JobState
@@ -965,11 +922,12 @@ func (p *Pool) Trace(id string) (JobTrace, error) {
 	}
 	p.mu.Unlock()
 	if job == nil {
-		return JobTrace{}, ErrUnknownJob
+		return fusionclient.JobTrace{}, ErrUnknownJob
 	}
 	spans, dropped := job.trace.Snapshot()
-	if spans == nil {
-		spans = []telemetry.Span{}
+	out := fusionclient.JobTrace{JobID: id, State: state, Spans: make([]fusionclient.Span, len(spans)), Dropped: dropped}
+	for i, s := range spans {
+		out.Spans[i] = fusionclient.Span(s)
 	}
-	return JobTrace{JobID: id, State: state, Spans: spans, Dropped: dropped}, nil
+	return out, nil
 }

@@ -92,8 +92,8 @@ func TestCatalogTornTailAndJunk(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw := AppendRecord(nil, add)
-	raw = AppendRecord(raw, []byte("{not json"))        // intact frame, bad payload
-	raw = append(raw, AppendRecord(nil, add)[:5]...)    // torn tail
+	raw = AppendRecord(raw, []byte("{not json"))     // intact frame, bad payload
+	raw = append(raw, AppendRecord(nil, add)[:5]...) // torn tail
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -38,7 +38,7 @@ type JobRecord struct {
 	// against the journal's cubes directory) for cube jobs.
 	CubeFile string `json:"cube_file,omitempty"`
 	// Options is the canonical options document the job was admitted
-	// with (the service's JobOptions wire form). Replaying with the
+	// with (the fusionclient.JobOptions wire form). Replaying with the
 	// recorded canonical options keeps result keys — and therefore
 	// mosaics — bit-identical across the restart.
 	Options json.RawMessage `json:"options,omitempty"`

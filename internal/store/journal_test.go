@@ -64,10 +64,10 @@ func TestJournalDuplicateAndOutOfOrderReplay(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.log")
 	j, _ := openJournal(t, path)
 	for _, rec := range []JobRecord{
-		{Op: JobFinish, Num: 7},                       // terminal before its submit
-		{Op: JobSubmit, Num: 7, ID: "job-7"},          // late submit: must not resurrect
-		{Op: JobSubmit, Num: 8, ID: "job-8"},          //
-		{Op: JobSubmit, Num: 8, ID: "job-8"},          // duplicate submit
+		{Op: JobFinish, Num: 7},              // terminal before its submit
+		{Op: JobSubmit, Num: 7, ID: "job-7"}, // late submit: must not resurrect
+		{Op: JobSubmit, Num: 8, ID: "job-8"}, //
+		{Op: JobSubmit, Num: 8, ID: "job-8"}, // duplicate submit
 	} {
 		if err := j.Append(rec); err != nil {
 			t.Fatal(err)

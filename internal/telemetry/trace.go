@@ -9,21 +9,22 @@ import (
 // Span is one recorded stage interval in a job's timeline. Times are
 // seconds relative to the recorder's creation (job enqueue), so a
 // timeline reads as elapsed job time. Point events (regenerations)
-// have Start == End.
+// have Start == End. The service serves spans as fusionclient.Span,
+// which converts field for field; the wire keys are declared there.
 type Span struct {
 	// Name is the stage: ingest, screen, mean, covariance, eigen,
 	// transform, merge, regeneration, ...
-	Name string `json:"name"`
+	Name string
 	// Index is the sub-cube or partition index for per-part stages
 	// (-1 when the stage has no index).
-	Index int `json:"index"`
+	Index int
 	// Start and End are elapsed seconds since the recorder was created.
-	Start float64 `json:"start_s"`
-	End   float64 `json:"end_s"`
+	Start float64
+	End   float64
 	// Epoch is the group incarnation for regeneration events (0 otherwise).
-	Epoch int `json:"epoch,omitempty"`
+	Epoch int
 	// Note carries free-form detail (e.g. "replica 1 on node 2").
-	Note string `json:"note,omitempty"`
+	Note string
 }
 
 // TraceRecorder is a bounded ring of spans for one job. All methods
@@ -116,10 +117,11 @@ func (tr *TraceRecorder) Snapshot() (spans []Span, dropped int64) {
 	return spans, dropped
 }
 
-// StageSummary aggregates one stage's spans for the job-status view.
+// StageSummary aggregates one stage's spans for the job-status view
+// (served as fusionclient.StageSummary).
 type StageSummary struct {
-	Count   int     `json:"count"`
-	Seconds float64 `json:"seconds"`
+	Count   int
+	Seconds float64
 }
 
 // Summary returns per-stage counts and total seconds, keyed by stage
