@@ -222,39 +222,18 @@ func BenchmarkAblationNetworkModel(b *testing.B) {
 	}
 }
 
-// --- A1: spectral screening vs plain PCT ---
+// --- A4: the eigensolver at the paper's band counts ---
 
-func BenchmarkAblationScreening(b *testing.B) {
-	c := cube(b)
-	for _, disable := range []bool{false, true} {
-		name := "screening"
-		if disable {
-			name = "plain-pct"
-		}
-		b.Run(name, func(b *testing.B) {
+func BenchmarkEigenSym(b *testing.B) {
+	for _, n := range []int{105, 210} {
+		m := randomCovariance(n)
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := pct.Run(c, pct.Options{Threshold: 0.03, DisableScreening: disable}); err != nil {
+				if _, err := linalg.EigenSym(m); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
-	}
-}
-
-// --- A4: eigensolvers at the paper's band counts ---
-
-func BenchmarkEigenSolvers(b *testing.B) {
-	for _, n := range []int{105, 210} {
-		m := randomCovariance(n)
-		for _, solver := range []linalg.EigenSolver{linalg.SolverTridiagQL, linalg.SolverJacobi} {
-			b.Run(fmt.Sprintf("n=%d/%s", n, solver), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := linalg.EigenSymWith(m, solver); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
 	}
 }
 
@@ -372,15 +351,21 @@ func BenchmarkCovarianceSum(b *testing.B) {
 	}
 }
 
+// wholeImagePCT is the sequential pipeline at one worker and one
+// sub-cube: the Mean and Transform the transform benchmarks project with.
+func wholeImagePCT(c *hsi.Cube) (*core.Result, error) {
+	return core.Sequential(c, core.Options{Workers: 1, Granularity: 1, Threshold: 0.03})
+}
+
 func BenchmarkTransformCube(b *testing.B) {
 	c := cube(b)
-	res, err := pct.Run(c, pct.Options{Threshold: 0.03})
+	res, err := wholeImagePCT(c)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := pct.TransformCube(c, res.Transform, res.Mean); err != nil {
+		if _, err := pct.TransformCubePar(c, res.Transform, res.Mean, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -399,7 +384,7 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 	vectors := paperSubVectors(b)
 	threshold := experiments.PaperScale().Threshold
 	c := cube(b)
-	res, err := pct.Run(c, pct.Options{Threshold: 0.03})
+	res, err := wholeImagePCT(c)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -412,7 +397,7 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 			return err
 		}},
 		{"TransformCube", func() error {
-			_, err := pct.TransformCube(c, res.Transform, res.Mean)
+			_, err := pct.TransformCubePar(c, res.Transform, res.Mean, 0)
 			return err
 		}},
 	}
@@ -444,10 +429,10 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 }
 
 // BenchmarkCovarianceSumDense measures step 4 at its production shape —
-// plain-PCT statistics over every pixel (the ablation A1 workload and
-// the worst case a worker sees), where the screened benchmark above
-// reduces to a handful of vectors. This is the shape the blocked SYRK
-// and the shard-parallel reduction are built for.
+// plain-PCT statistics over every pixel (the worst case a worker
+// sees), where the screened benchmark above reduces to a handful of
+// vectors. This is the shape the blocked SYRK and the shard-parallel
+// reduction are built for.
 func BenchmarkCovarianceSumDense(b *testing.B) {
 	c := cube(b)
 	vectors := (&hsi.SubCube{Range: hsi.RowRange{Y1: c.Height}, Cube: c}).PixelVectors()

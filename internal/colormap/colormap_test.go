@@ -2,14 +2,12 @@ package colormap
 
 import (
 	"errors"
-	"image"
 	"math"
 	"path/filepath"
 	"testing"
 
 	"resilientfusion/internal/hsi"
 	"resilientfusion/internal/linalg"
-	"resilientfusion/internal/pct"
 )
 
 func TestStretchApply(t *testing.T) {
@@ -98,48 +96,6 @@ func TestMapPixelOpponency(t *testing.T) {
 	if bHi == bLo {
 		t.Fatal("PC3 had no effect on blue channel")
 	}
-}
-
-func TestComposeOnRealPipeline(t *testing.T) {
-	scene, err := hsi.GenerateScene(hsi.SceneSpec{
-		Width: 40, Height: 40, Bands: 32, Seed: 6,
-		NoiseSigma: 3, Illumination: 0.1,
-		OpenVehicles: 1, CamouflagedVehicles: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := pct.Run(scene.Cube, pct.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	img, err := Compose(res.Components, VarianceStretch(res.Eigen.Values[:3], 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if img.Bounds() != image.Rect(0, 0, 40, 40) {
-		t.Fatalf("bounds = %v", img.Bounds())
-	}
-	// The composite must not be flat: contrast is the point of fusion.
-	if imageStdDev(img) < 5 {
-		t.Fatalf("composite nearly flat, stddev=%g", imageStdDev(img))
-	}
-}
-
-func imageStdDev(img *image.RGBA) float64 {
-	var sum, ss, n float64
-	b := img.Bounds()
-	for y := b.Min.Y; y < b.Max.Y; y++ {
-		for x := b.Min.X; x < b.Max.X; x++ {
-			c := img.RGBAAt(x, y)
-			v := float64(c.R) + float64(c.G) + float64(c.B)
-			sum += v
-			ss += v * v
-			n++
-		}
-	}
-	mean := sum / n
-	return math.Sqrt(ss/n - mean*mean)
 }
 
 func TestComposeValidation(t *testing.T) {

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"image"
+	"math"
 	"testing"
 
 	"resilientfusion/internal/failure"
 	"resilientfusion/internal/hsi"
+	"resilientfusion/internal/linalg"
 	"resilientfusion/internal/perfmodel"
 	"resilientfusion/internal/resilient"
 	"resilientfusion/internal/scplib"
@@ -136,6 +138,22 @@ func TestRealRuntimeMatchesSequential(t *testing.T) {
 	}
 	if !imagesEqual(res.Image, seq.Image) {
 		t.Fatal("real-runtime composite differs from sequential")
+	}
+}
+
+// TestEigenFailureIsTyped pins the eigensolver's failure path: one NaN
+// sample poisons the unique-set covariance, QL cannot converge on it,
+// and both the sequential oracle and a distributed run on the real
+// runtime report linalg.ErrNoConvergence rather than an untyped error.
+func TestEigenFailureIsTyped(t *testing.T) {
+	cube := testScene(t)
+	cube.Data[0] = float32(math.NaN())
+	opts := Options{Workers: 2, Granularity: 2, RequestTimeout: 30}
+	if _, err := Sequential(cube, opts); !errors.Is(err, linalg.ErrNoConvergence) {
+		t.Fatalf("Sequential err = %v, want linalg.ErrNoConvergence", err)
+	}
+	if _, err := Fuse(scplib.NewRealSystem(), cube, opts); !errors.Is(err, linalg.ErrNoConvergence) {
+		t.Fatalf("Fuse err = %v, want linalg.ErrNoConvergence", err)
 	}
 }
 

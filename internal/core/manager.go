@@ -226,7 +226,7 @@ func (m *manager) pct(t0 float64, img *image.RGBA) error {
 	// Step 6: transformation matrix (sequential at the manager: its
 	// complexity depends on the band count, not the image size).
 	eigenT0 := m.tr.Now()
-	eig, err := linalg.EigenSymWith(cov, opts.Solver)
+	eig, err := linalg.EigenSym(cov)
 	if err != nil {
 		return err
 	}

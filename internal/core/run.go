@@ -42,8 +42,6 @@ type Options struct {
 	Parallelism int
 	// Components retained by the PCT (default 3).
 	Components int
-	// Solver selects the eigensolver (default tridiagonal QL).
-	Solver linalg.EigenSolver
 	// Algorithm selects the fusion algorithm by registry name
 	// ("pct", "pyramid", "dwt"; empty selects "pct", the paper's
 	// pipeline). Canonicalized by withDefaults and folded into ResultKey,
@@ -156,7 +154,7 @@ func (o Options) TileRanges(height int) []hsi.RowRange {
 
 // ResultKey returns a deterministic string over exactly the fields that
 // influence the fusion output: Workers, Granularity, Threshold,
-// Components, Solver and Algorithm (see Sequential's contract).
+// Components and Algorithm (see Sequential's contract).
 // Scheduling and resiliency knobs (Prefetch, Replication, timeouts,
 // Cost) do not change the result and are excluded. The service layer
 // combines this key with the cube digest to content-address its result
@@ -165,11 +163,13 @@ func (o Options) TileRanges(height int) []hsi.RowRange {
 // The pct key keeps its pre-registry byte layout (no algorithm
 // component), so every cache entry written before algorithms existed
 // remains addressable; other algorithms append a ".a<name>" suffix,
-// which can never collide with a pct key.
+// which can never collide with a pct key. The literal ".s0" stays for
+// the same reason: it named the eigensolver when one could be chosen,
+// and keeping it keeps every stored cache and spill key addressable.
 func (o Options) ResultKey() string {
 	c := o.withDefaults()
-	key := fmt.Sprintf("w%d.g%d.t%016x.c%d.s%d",
-		c.Workers, c.Granularity, math.Float64bits(c.Threshold), c.Components, int(c.Solver))
+	key := fmt.Sprintf("w%d.g%d.t%016x.c%d.s0",
+		c.Workers, c.Granularity, math.Float64bits(c.Threshold), c.Components)
 	if c.Algorithm != "pct" {
 		key += ".a" + c.Algorithm
 	}

@@ -17,7 +17,8 @@ import (
 // thread with no messaging. Its output is bit-identical to the
 // distributed pipeline's for the same Options, which is the correctness
 // oracle the distributed tests check against. (Only Workers, Granularity,
-// Threshold, Components, Solver and Algorithm influence the result.)
+// Threshold, Components and Algorithm influence the result.) At Workers 1
+// × Granularity 1 it is the plain whole-image spectral-screening PCT.
 func Sequential(cube *hsi.Cube, opts Options) (*Result, error) {
 	opts = opts.withDefaults()
 	if err := cube.Validate(); err != nil {
@@ -81,7 +82,7 @@ func Sequential(cube *hsi.Cube, opts Options) (*Result, error) {
 	}
 
 	// Step 6.
-	eig, err := linalg.EigenSymWith(cov, opts.Solver)
+	eig, err := linalg.EigenSym(cov)
 	if err != nil {
 		return nil, err
 	}

@@ -502,12 +502,6 @@ func appendSlabHeader(dst []byte, rr hsi.RowRange, width int) []byte {
 	return appendU32(dst, uint32(width))
 }
 
-// AppendTransformResp appends a serialized transform response to dst.
-func AppendTransformResp(dst []byte, resp *TransformResp) []byte {
-	dst = grow(dst, slabRespHeader+len(resp.RGB))
-	return append(appendSlabHeader(dst, resp.Range, resp.Width), resp.RGB...)
-}
-
 // newSlabFrame starts a transform (or fuse) response frame for a tile of
 // the given pixel count: the header is in place and rgb views the slab
 // bytes behind it, so the kernel writes the reply where it will be sent
@@ -578,9 +572,6 @@ type FuseReq = ScreenReq
 
 // FuseResp returns a tile's fused RGB slab.
 type FuseResp = TransformResp
-
-// AppendFuseReq appends a serialized tile-fusion request to dst.
-func AppendFuseReq(dst []byte, req *FuseReq) ([]byte, error) { return AppendScreenReq(dst, req) }
 
 // DecodeFuseReq parses a tile-fusion request.
 func DecodeFuseReq(p []byte) (*FuseReq, error) { return DecodeScreenReq(p) }

@@ -187,3 +187,13 @@ func TestCacheMissRoundTrip(t *testing.T) {
 		t.Fatalf("nil: %v", err)
 	}
 }
+
+// AppendTransformResp appends a serialized transform response to dst —
+// the reference encoding of the slab frames the worker builds in place.
+func AppendTransformResp(dst []byte, resp *TransformResp) []byte {
+	dst = grow(dst, slabRespHeader+len(resp.RGB))
+	return append(appendSlabHeader(dst, resp.Range, resp.Width), resp.RGB...)
+}
+
+// AppendFuseReq appends a serialized tile-fusion request to dst.
+func AppendFuseReq(dst []byte, req *FuseReq) ([]byte, error) { return AppendScreenReq(dst, req) }

@@ -140,15 +140,6 @@ type RunOutcome struct {
 	RegenLatency  []float64
 }
 
-// Run executes one configuration and returns the outcome.
-func Run(cfg RunConfig) (*RunOutcome, error) {
-	scene, err := hsi.GenerateScene(cfg.Scale.Scene)
-	if err != nil {
-		return nil, err
-	}
-	return RunOnCube(cfg, scene.Cube)
-}
-
 // RunOnCube is Run with a pre-generated cube (so sweeps share one scene).
 func RunOnCube(cfg RunConfig, cube *hsi.Cube) (*RunOutcome, error) {
 	x, nodes := scplib.NewCluster(cfg.Workers+1, cfg.Scale.NodeRate)
@@ -514,18 +505,4 @@ func RunRegeneration(scale Scale, workers int) (*Regeneration, error) {
 		SlowdownPct:       100 * (attacked.Result.Times.Total/base.Result.Times.Total - 1),
 	}
 	return out, nil
-}
-
-// Table renders the regeneration experiment.
-func (r *Regeneration) Table() *metrics.Table {
-	t := &metrics.Table{
-		Title:  "Regeneration under attack (two replicas killed mid-run)",
-		XLabel: "metric",
-		X:      []float64{1, 2, 3, 4, 5, 6},
-	}
-	t.Add("value", []float64{
-		r.BaselineTime, r.AttackedTime, float64(r.Detections),
-		float64(r.Regenerations), r.MeanDetectLatency, r.SlowdownPct,
-	})
-	return t
 }

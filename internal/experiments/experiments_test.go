@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"resilientfusion/internal/hsi"
 	"resilientfusion/internal/metrics"
 )
 
@@ -212,4 +213,27 @@ func TestScalesSane(t *testing.T) {
 	if math.Abs(PaperScale().Threshold-0.03) > 1e-12 {
 		t.Fatal("paper threshold drifted from the documented calibration")
 	}
+}
+
+// Run executes one configuration and returns the outcome.
+func Run(cfg RunConfig) (*RunOutcome, error) {
+	scene, err := hsi.GenerateScene(cfg.Scale.Scene)
+	if err != nil {
+		return nil, err
+	}
+	return RunOnCube(cfg, scene.Cube)
+}
+
+// Table renders the regeneration experiment.
+func (r *Regeneration) Table() *metrics.Table {
+	t := &metrics.Table{
+		Title:  "Regeneration under attack (two replicas killed mid-run)",
+		XLabel: "metric",
+		X:      []float64{1, 2, 3, 4, 5, 6},
+	}
+	t.Add("value", []float64{
+		r.BaselineTime, r.AttackedTime, float64(r.Detections),
+		float64(r.Regenerations), r.MeanDetectLatency, r.SlowdownPct,
+	})
+	return t
 }

@@ -187,23 +187,6 @@ func (c *Cube) Equal(o *Cube, tol float32) bool {
 	return true
 }
 
-// MeanVector computes the per-band mean over all pixels — step 3 of the
-// paper's algorithm when run without spectral screening.
-func (c *Cube) MeanVector() linalg.Vector {
-	mean := make(linalg.Vector, c.Bands)
-	for i := 0; i < c.Pixels(); i++ {
-		off := i * c.Bands
-		for b := 0; b < c.Bands; b++ {
-			mean[b] += float64(c.Data[off+b])
-		}
-	}
-	n := float64(c.Pixels())
-	for b := range mean {
-		mean[b] /= n
-	}
-	return mean
-}
-
 func (c *Cube) String() string {
 	return fmt.Sprintf("Cube(%dx%dx%d)", c.Width, c.Height, c.Bands)
 }

@@ -171,3 +171,20 @@ func TestDefaultWavelengths(t *testing.T) {
 		t.Fatal("DefaultWavelengths(0) should be nil")
 	}
 }
+
+// MeanVector computes the per-band mean over all pixels — step 3 of the
+// paper's algorithm when run without spectral screening.
+func (c *Cube) MeanVector() linalg.Vector {
+	mean := make(linalg.Vector, c.Bands)
+	for i := 0; i < c.Pixels(); i++ {
+		off := i * c.Bands
+		for b := 0; b < c.Bands; b++ {
+			mean[b] += float64(c.Data[off+b])
+		}
+	}
+	n := float64(c.Pixels())
+	for b := range mean {
+		mean[b] /= n
+	}
+	return mean
+}

@@ -73,21 +73,6 @@ func Extract(c *Cube, rr RowRange) (*SubCube, error) {
 	return &SubCube{Range: rr, Cube: sub}, nil
 }
 
-// Insert copies the SubCube's samples back into the matching rows of dst.
-// It is the inverse of Extract and is used by the manager to assemble
-// transformed results.
-func (s *SubCube) Insert(dst *Cube) error {
-	if dst.Width != s.Cube.Width || dst.Bands != s.Cube.Bands {
-		return fmt.Errorf("%w: insert %s into %s", ErrShape, s.Cube, dst)
-	}
-	if s.Range.Y0 < 0 || s.Range.Y1 > dst.Height || s.Range.Rows() != s.Cube.Height {
-		return fmt.Errorf("%w: insert rows [%d,%d) into height %d", ErrShape, s.Range.Y0, s.Range.Y1, dst.Height)
-	}
-	start := s.Range.Y0 * dst.Width * dst.Bands
-	copy(dst.Data[start:start+len(s.Cube.Data)], s.Cube.Data)
-	return nil
-}
-
 // PixelVectors returns all pixel vectors of the sub-cube as float64
 // vectors, in row-major order. Used by screening and covariance steps.
 // The vectors are views over one staging buffer (see Cube.PixelRows), so

@@ -2,6 +2,7 @@ package hsi
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -178,4 +179,19 @@ func TestPartitionRandomizedReassembly(t *testing.T) {
 			t.Fatalf("reassembly failed h=%d p=%d", h, p)
 		}
 	}
+}
+
+// Insert copies the SubCube's samples back into the matching rows of dst.
+// It is the inverse of Extract and is used by the manager to assemble
+// transformed results.
+func (s *SubCube) Insert(dst *Cube) error {
+	if dst.Width != s.Cube.Width || dst.Bands != s.Cube.Bands {
+		return fmt.Errorf("%w: insert %s into %s", ErrShape, s.Cube, dst)
+	}
+	if s.Range.Y0 < 0 || s.Range.Y1 > dst.Height || s.Range.Rows() != s.Cube.Height {
+		return fmt.Errorf("%w: insert rows [%d,%d) into height %d", ErrShape, s.Range.Y0, s.Range.Y1, dst.Height)
+	}
+	start := s.Range.Y0 * dst.Width * dst.Bands
+	copy(dst.Data[start:start+len(s.Cube.Data)], s.Cube.Data)
+	return nil
 }

@@ -55,9 +55,6 @@ type Scene struct {
 	Spec  SceneSpec
 }
 
-// TruthAt returns the ground-truth material at (x, y).
-func (s *Scene) TruthAt(x, y int) Material { return s.Truth[y*s.Cube.Width+x] }
-
 // GenerateScene builds a deterministic synthetic foliated scene:
 // forest background, an open field with a dirt road, mechanized vehicles
 // in the open, and a camouflaged vehicle in the lower-left quadrant.
@@ -292,21 +289,3 @@ func (n *valueNoise) at(x, y int) float64 {
 func lerp(a, b, t float64) float64 { return a + (b-a)*t }
 
 func smoothstep(t float64) float64 { return t * t * (3 - 2*t) }
-
-// SceneMaterialFractions reports the fraction of pixels per material —
-// useful for validating that targets are genuinely rare (the condition
-// spectral screening is designed for).
-func (s *Scene) SceneMaterialFractions() map[Material]float64 {
-	counts := make(map[Material]int, numMaterials)
-	for _, m := range s.Truth {
-		counts[m]++
-	}
-	n := float64(len(s.Truth))
-	out := make(map[Material]float64, len(counts))
-	for m, c := range counts {
-		// Keyed writes of exact integer counts: order-independent, so
-		// the map range stays inside the detsource contract.
-		out[m] = float64(c) / n
-	}
-	return out
-}

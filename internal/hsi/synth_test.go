@@ -205,3 +205,24 @@ func TestValueNoiseSmoothAndBounded(t *testing.T) {
 		t.Fatalf("only %d/%d same-material neighbours spectrally close", close, pairs)
 	}
 }
+
+// TruthAt returns the ground-truth material at (x, y).
+func (s *Scene) TruthAt(x, y int) Material { return s.Truth[y*s.Cube.Width+x] }
+
+// SceneMaterialFractions reports the fraction of pixels per material —
+// useful for validating that targets are genuinely rare (the condition
+// spectral screening is designed for).
+func (s *Scene) SceneMaterialFractions() map[Material]float64 {
+	counts := make(map[Material]int, numMaterials)
+	for _, m := range s.Truth {
+		counts[m]++
+	}
+	n := float64(len(s.Truth))
+	out := make(map[Material]float64, len(counts))
+	for m, c := range counts {
+		// Keyed writes of exact integer counts: order-independent, so
+		// the map range stays inside the detsource contract.
+		out[m] = float64(c) / n
+	}
+	return out
+}

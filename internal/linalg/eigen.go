@@ -24,36 +24,10 @@ var ErrNotSymmetric = errors.New("linalg: matrix is not symmetric")
 // converge within its iteration budget.
 var ErrNoConvergence = errors.New("linalg: eigensolver did not converge")
 
-// EigenSolver selects the symmetric eigendecomposition algorithm.
-type EigenSolver int
-
-const (
-	// SolverTridiagQL is Householder tridiagonalization followed by the
-	// implicit-shift QL iteration: O(n³) with a small constant, the default.
-	SolverTridiagQL EigenSolver = iota
-	// SolverJacobi is the cyclic Jacobi rotation method: slower but
-	// exceptionally robust; used to cross-check TridiagQL in tests.
-	SolverJacobi
-)
-
-func (s EigenSolver) String() string {
-	switch s {
-	case SolverTridiagQL:
-		return "tridiag-ql"
-	case SolverJacobi:
-		return "jacobi"
-	default:
-		return fmt.Sprintf("EigenSolver(%d)", int(s))
-	}
-}
-
-// EigenSym computes the eigendecomposition of symmetric matrix a using the
-// default solver. a is not modified.
-func EigenSym(a *Matrix) (*Eigen, error) { return EigenSymWith(a, SolverTridiagQL) }
-
-// EigenSymWith computes the eigendecomposition of symmetric matrix a with an
-// explicit solver choice. a is not modified.
-func EigenSymWith(a *Matrix, solver EigenSolver) (*Eigen, error) {
+// EigenSym computes the eigendecomposition of symmetric matrix a with
+// Householder tridiagonalization followed by the implicit-shift QL
+// iteration, O(n³) with a small constant. a is not modified.
+func EigenSym(a *Matrix) (*Eigen, error) {
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("%w: %dx%d", ErrDimension, a.Rows, a.Cols)
 	}
@@ -61,16 +35,7 @@ func EigenSymWith(a *Matrix, solver EigenSolver) (*Eigen, error) {
 	if !a.IsSymmetric(symTol) {
 		return nil, ErrNotSymmetric
 	}
-	var e *Eigen
-	var err error
-	switch solver {
-	case SolverJacobi:
-		e, err = jacobiEigen(a.Clone())
-	case SolverTridiagQL:
-		e, err = tridiagQLEigen(a.Clone())
-	default:
-		return nil, fmt.Errorf("linalg: unknown eigensolver %v", solver)
-	}
+	e, err := tridiagQLEigen(a.Clone())
 	if err != nil {
 		return nil, err
 	}
@@ -134,71 +99,6 @@ func (e *Eigen) TransformMatrix(k int) (*Matrix, error) {
 		}
 	}
 	return t, nil
-}
-
-// jacobiEigen runs cyclic Jacobi sweeps on a (which it destroys).
-func jacobiEigen(a *Matrix) (*Eigen, error) {
-	n := a.Rows
-	v := Identity(n)
-	if n == 1 {
-		return &Eigen{Values: Vector{a.At(0, 0)}, Vectors: v}, nil
-	}
-	const maxSweeps = 100
-	for sweep := 0; sweep < maxSweeps; sweep++ {
-		off := a.MaxAbsOffDiag()
-		if off == 0 {
-			break
-		}
-		// Convergence threshold scaled to the matrix magnitude.
-		thresh := 1e-14 * a.FrobeniusNorm()
-		if off <= thresh {
-			break
-		}
-		for p := 0; p < n-1; p++ {
-			for q := p + 1; q < n; q++ {
-				apq := a.At(p, q)
-				if math.Abs(apq) <= thresh/float64(n*n) {
-					continue
-				}
-				app, aqq := a.At(p, p), a.At(q, q)
-				theta := (aqq - app) / (2 * apq)
-				var t float64
-				if math.Abs(theta) > 1e150 {
-					t = 1 / (2 * theta)
-				} else {
-					t = math.Copysign(1, theta) / (math.Abs(theta) + math.Sqrt(theta*theta+1))
-				}
-				c := 1 / math.Sqrt(t*t+1)
-				s := t * c
-				tau := s / (1 + c)
-
-				a.Set(p, p, app-t*apq)
-				a.Set(q, q, aqq+t*apq)
-				a.Set(p, q, 0)
-				a.Set(q, p, 0)
-				for i := 0; i < n; i++ {
-					if i != p && i != q {
-						aip, aiq := a.At(i, p), a.At(i, q)
-						a.Set(i, p, aip-s*(aiq+tau*aip))
-						a.Set(p, i, a.At(i, p))
-						a.Set(i, q, aiq+s*(aip-tau*aiq))
-						a.Set(q, i, a.At(i, q))
-					}
-					vip, viq := v.At(i, p), v.At(i, q)
-					v.Set(i, p, vip-s*(viq+tau*vip))
-					v.Set(i, q, viq+s*(vip-tau*viq))
-				}
-			}
-		}
-		if sweep == maxSweeps-1 {
-			return nil, fmt.Errorf("%w: jacobi after %d sweeps (off-diag %g)", ErrNoConvergence, maxSweeps, a.MaxAbsOffDiag())
-		}
-	}
-	vals := make(Vector, n)
-	for i := 0; i < n; i++ {
-		vals[i] = a.At(i, i)
-	}
-	return &Eigen{Values: vals, Vectors: v}, nil
 }
 
 // tridiagQLEigen reduces a to tridiagonal form with Householder reflections

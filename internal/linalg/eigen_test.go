@@ -2,6 +2,7 @@ package linalg
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -51,16 +52,103 @@ func checkEigen(t *testing.T, a *Matrix, e *Eigen) {
 	}
 }
 
+// solvers runs a test against the production EigenSym and against the
+// cyclic Jacobi reference: slower than tridiagonal QL but exceptionally
+// robust, so agreement between the two cross-checks QL.
+var solvers = []struct {
+	name  string
+	eigen func(*Matrix) (*Eigen, error)
+}{
+	{"tridiag-ql", EigenSym},
+	{"jacobi", jacobiSym},
+}
+
+// jacobiSym is EigenSym with the Jacobi reference in place of QL.
+func jacobiSym(a *Matrix) (*Eigen, error) {
+	e, err := jacobiEigen(a.Clone())
+	if err != nil {
+		return nil, err
+	}
+	e.sortDescending()
+	e.canonicalizeSigns()
+	return e, nil
+}
+
+// jacobiEigen runs cyclic Jacobi sweeps on a (which it destroys).
+func jacobiEigen(a *Matrix) (*Eigen, error) {
+	n := a.Rows
+	v := Identity(n)
+	if n == 1 {
+		return &Eigen{Values: Vector{a.At(0, 0)}, Vectors: v}, nil
+	}
+	const maxSweeps = 100
+	for sweep := 0; sweep < maxSweeps; sweep++ {
+		off := a.MaxAbsOffDiag()
+		if off == 0 {
+			break
+		}
+		// Convergence threshold scaled to the matrix magnitude.
+		thresh := 1e-14 * a.FrobeniusNorm()
+		if off <= thresh {
+			break
+		}
+		for p := 0; p < n-1; p++ {
+			for q := p + 1; q < n; q++ {
+				apq := a.At(p, q)
+				if math.Abs(apq) <= thresh/float64(n*n) {
+					continue
+				}
+				app, aqq := a.At(p, p), a.At(q, q)
+				theta := (aqq - app) / (2 * apq)
+				var t float64
+				if math.Abs(theta) > 1e150 {
+					t = 1 / (2 * theta)
+				} else {
+					t = math.Copysign(1, theta) / (math.Abs(theta) + math.Sqrt(theta*theta+1))
+				}
+				c := 1 / math.Sqrt(t*t+1)
+				s := t * c
+				tau := s / (1 + c)
+
+				a.Set(p, p, app-t*apq)
+				a.Set(q, q, aqq+t*apq)
+				a.Set(p, q, 0)
+				a.Set(q, p, 0)
+				for i := 0; i < n; i++ {
+					if i != p && i != q {
+						aip, aiq := a.At(i, p), a.At(i, q)
+						a.Set(i, p, aip-s*(aiq+tau*aip))
+						a.Set(p, i, a.At(i, p))
+						a.Set(i, q, aiq+s*(aip-tau*aiq))
+						a.Set(q, i, a.At(i, q))
+					}
+					vip, viq := v.At(i, p), v.At(i, q)
+					v.Set(i, p, vip-s*(viq+tau*vip))
+					v.Set(i, q, viq+s*(vip-tau*viq))
+				}
+			}
+		}
+		if sweep == maxSweeps-1 {
+			return nil, fmt.Errorf("%w: jacobi after %d sweeps (off-diag %g)", ErrNoConvergence, maxSweeps, a.MaxAbsOffDiag())
+		}
+	}
+	vals := make(Vector, n)
+	for i := 0; i < n; i++ {
+		vals[i] = a.At(i, i)
+	}
+	return &Eigen{Values: vals, Vectors: v}, nil
+}
+
 func TestEigenSymKnown2x2(t *testing.T) {
 	// [[2,1],[1,2]] has eigenvalues 3 and 1.
 	a := NewMatrixFrom(2, 2, []float64{2, 1, 1, 2})
-	for _, solver := range []EigenSolver{SolverTridiagQL, SolverJacobi} {
-		e, err := EigenSymWith(a, solver)
+	for _, solver := range solvers {
+		e, err := solver.eigen(a)
 		if err != nil {
-			t.Fatalf("%v: %v", solver, err)
+			t.Fatalf("%s: %v", solver.name, err)
 		}
 		if math.Abs(e.Values[0]-3) > 1e-12 || math.Abs(e.Values[1]-1) > 1e-12 {
-			t.Fatalf("%v: eigenvalues = %v, want [3 1]", solver, e.Values)
+			t.Fatalf("%s: eigenvalues = %v, want [3 1]", solver.name, e.Values)
 		}
 		checkEigen(t, a, e)
 	}
@@ -81,16 +169,16 @@ func TestEigenSymDiagonal(t *testing.T) {
 
 func TestEigenSym1x1(t *testing.T) {
 	a := NewMatrixFrom(1, 1, []float64{-7})
-	for _, solver := range []EigenSolver{SolverTridiagQL, SolverJacobi} {
-		e, err := EigenSymWith(a, solver)
+	for _, solver := range solvers {
+		e, err := solver.eigen(a)
 		if err != nil {
-			t.Fatalf("%v: %v", solver, err)
+			t.Fatalf("%s: %v", solver.name, err)
 		}
 		if e.Values[0] != -7 {
-			t.Fatalf("%v: values = %v", solver, e.Values)
+			t.Fatalf("%s: values = %v", solver.name, e.Values)
 		}
 		if math.Abs(math.Abs(e.Vectors.At(0, 0))-1) > 1e-15 {
-			t.Fatalf("%v: vector = %v", solver, e.Vectors)
+			t.Fatalf("%s: vector = %v", solver.name, e.Vectors)
 		}
 	}
 }
@@ -130,10 +218,10 @@ func TestEigenSymRandomBothSolvers(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		n := 1 + rng.Intn(12)
 		a := randomSymmetric(rng, n)
-		for _, solver := range []EigenSolver{SolverTridiagQL, SolverJacobi} {
-			e, err := EigenSymWith(a, solver)
+		for _, solver := range solvers {
+			e, err := solver.eigen(a)
 			if err != nil {
-				t.Fatalf("n=%d %v: %v", n, solver, err)
+				t.Fatalf("n=%d %s: %v", n, solver.name, err)
 			}
 			checkEigen(t, a, e)
 		}
@@ -145,11 +233,11 @@ func TestEigenSolversAgree(t *testing.T) {
 	for trial := 0; trial < 15; trial++ {
 		n := 2 + rng.Intn(10)
 		a := randomSymmetric(rng, n)
-		e1, err := EigenSymWith(a, SolverTridiagQL)
+		e1, err := EigenSym(a)
 		if err != nil {
 			t.Fatal(err)
 		}
-		e2, err := EigenSymWith(a, SolverJacobi)
+		e2, err := jacobiSym(a)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -267,13 +355,4 @@ func TestEigenLargerMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkEigen(t, a, e)
-}
-
-func TestEigenSolverString(t *testing.T) {
-	if SolverTridiagQL.String() != "tridiag-ql" || SolverJacobi.String() != "jacobi" {
-		t.Fatal("EigenSolver.String mismatch")
-	}
-	if EigenSolver(99).String() == "" {
-		t.Fatal("unknown solver String empty")
-	}
 }

@@ -28,15 +28,6 @@ func NewMatrixFrom(rows, cols int, data []float64) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: data}
 }
 
-// Identity returns the n×n identity matrix.
-func Identity(n int) *Matrix {
-	m := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		m.Data[i*n+i] = 1
-	}
-	return m
-}
-
 // At returns element (i, j).
 func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 
@@ -45,15 +36,6 @@ func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 
 // Row returns row i as a Vector sharing the matrix storage.
 func (m *Matrix) Row(i int) Vector { return Vector(m.Data[i*m.Cols : (i+1)*m.Cols]) }
-
-// Col returns a copy of column j.
-func (m *Matrix) Col(j int) Vector {
-	v := make(Vector, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		v[i] = m.Data[i*m.Cols+j]
-	}
-	return v
-}
 
 // Clone returns a deep copy of m.
 func (m *Matrix) Clone() *Matrix {
@@ -86,29 +68,6 @@ func (m *Matrix) Mul(b *Matrix) (*Matrix, error) {
 	return out, nil
 }
 
-// MulVec returns m·v as a new vector.
-func (m *Matrix) MulVec(v Vector) (Vector, error) {
-	if m.Cols != len(v) {
-		return nil, fmt.Errorf("%w: MulVec %dx%d by %d", ErrDimension, m.Rows, m.Cols, len(v))
-	}
-	out := make(Vector, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		out[i] = Vector(m.Data[i*m.Cols : (i+1)*m.Cols]).Dot(v)
-	}
-	return out, nil
-}
-
-// MulVecInto computes dst = m·v without allocating. dst must have length
-// m.Rows and must not alias v.
-func (m *Matrix) MulVecInto(v, dst Vector) {
-	if m.Cols != len(v) || m.Rows != len(dst) {
-		panic("linalg: MulVecInto dimension mismatch")
-	}
-	for i := 0; i < m.Rows; i++ {
-		dst[i] = Vector(m.Data[i*m.Cols : (i+1)*m.Cols]).Dot(v)
-	}
-}
-
 // Add accumulates m += b elementwise.
 func (m *Matrix) Add(b *Matrix) error {
 	if m.Rows != b.Rows || m.Cols != b.Cols {
@@ -129,25 +88,6 @@ func (m *Matrix) Zero() {
 func (m *Matrix) Scale(a float64) {
 	for i := range m.Data {
 		m.Data[i] *= a
-	}
-}
-
-// AddOuter accumulates m += v·vᵀ (symmetric rank-1 update).
-// It panics if m is not len(v)×len(v).
-func (m *Matrix) AddOuter(v Vector) {
-	n := len(v)
-	if m.Rows != n || m.Cols != n {
-		panic("linalg: AddOuter dimension mismatch")
-	}
-	for i := 0; i < n; i++ {
-		vi := v[i]
-		if vi == 0 {
-			continue
-		}
-		row := m.Data[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
-			row[j] += vi * v[j]
-		}
 	}
 }
 
@@ -181,36 +121,8 @@ func (m *Matrix) Symmetrize() {
 	}
 }
 
-// Trace returns the sum of diagonal elements. It panics if m is not square.
-func (m *Matrix) Trace() float64 {
-	if m.Rows != m.Cols {
-		panic("linalg: Trace on non-square matrix")
-	}
-	var t float64
-	for i := 0; i < m.Rows; i++ {
-		t += m.At(i, i)
-	}
-	return t
-}
-
 // FrobeniusNorm returns the Frobenius norm of m.
 func (m *Matrix) FrobeniusNorm() float64 { return Vector(m.Data).Norm() }
-
-// MaxAbsOffDiag returns the largest |m[i][j]|, i≠j. Zero for n<2.
-func (m *Matrix) MaxAbsOffDiag() float64 {
-	var mx float64
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			if i == j {
-				continue
-			}
-			if a := math.Abs(m.At(i, j)); a > mx {
-				mx = a
-			}
-		}
-	}
-	return mx
-}
 
 // Equal reports whether m and b agree elementwise within tol.
 func (m *Matrix) Equal(b *Matrix, tol float64) bool {

@@ -114,13 +114,3 @@ func ShardRange(n, size, s int) (lo, hi int) {
 	}
 	return lo, hi
 }
-
-// ParallelFor splits [0, n) into contiguous chunks of the given size and
-// runs fn(lo, hi) for each on up to workers goroutines. Like
-// ParallelShards, the chunk grid is a function of n and size only.
-func ParallelFor(n, size, workers int, fn func(lo, hi int)) {
-	ParallelShards(ShardCount(n, size), workers, func(s int) {
-		lo, hi := ShardRange(n, size, s)
-		fn(lo, hi)
-	})
-}

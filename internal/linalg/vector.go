@@ -17,9 +17,6 @@ type Vector []float64
 // ErrDimension is returned when operand dimensions do not conform.
 var ErrDimension = errors.New("linalg: dimension mismatch")
 
-// NewVector returns a zero vector of length n.
-func NewVector(n int) Vector { return make(Vector, n) }
-
 // Clone returns a copy of v.
 func (v Vector) Clone() Vector {
 	w := make(Vector, len(v))
@@ -72,17 +69,6 @@ func (v Vector) Add(w, dst Vector) Vector {
 	return dst
 }
 
-// Sub stores v-w into dst and returns dst. dst may alias v or w.
-func (v Vector) Sub(w, dst Vector) Vector {
-	if len(v) != len(w) || len(v) != len(dst) {
-		panic("linalg: Sub length mismatch")
-	}
-	for i := range v {
-		dst[i] = v[i] - w[i]
-	}
-	return dst
-}
-
 // Scale stores a*v into dst and returns dst. dst may alias v.
 func (v Vector) Scale(a float64, dst Vector) Vector {
 	if len(v) != len(dst) {
@@ -92,31 +78,6 @@ func (v Vector) Scale(a float64, dst Vector) Vector {
 		dst[i] = a * v[i]
 	}
 	return dst
-}
-
-// AXPY accumulates dst += a*v and returns dst.
-func (v Vector) AXPY(a float64, dst Vector) Vector {
-	if len(v) != len(dst) {
-		panic("linalg: AXPY length mismatch")
-	}
-	for i := range v {
-		dst[i] += a * v[i]
-	}
-	return dst
-}
-
-// Normalize scales v in place to unit norm and returns the original norm.
-// A zero vector is left unchanged and 0 is returned.
-func (v Vector) Normalize() float64 {
-	n := v.Norm()
-	if n == 0 {
-		return 0
-	}
-	inv := 1 / n
-	for i := range v {
-		v[i] *= inv
-	}
-	return n
 }
 
 // Equal reports whether v and w agree elementwise within tol.

@@ -97,15 +97,6 @@ func Speedup(t1 float64, times []float64) []float64 {
 	return out
 }
 
-// Efficiency is speedup divided by the processor count.
-func Efficiency(speedups []float64, procs []int) []float64 {
-	out := make([]float64, len(speedups))
-	for i := range speedups {
-		out[i] = speedups[i] / float64(procs[i])
-	}
-	return out
-}
-
 // WithinOfLinear reports the worst-case fractional shortfall from linear
 // speedup across the series: 0.2 means "within 20% of linear".
 func WithinOfLinear(speedups []float64, procs []int) float64 {

@@ -262,23 +262,3 @@ func TestKernelsDeterministicWithExcessParallelism(t *testing.T) {
 		t.Fatal("CovarianceSumPar varies with excess parallelism")
 	}
 }
-
-// Run with different Parallelism settings must be bit-identical end to
-// end — the Options knob is wall-clock only.
-func TestRunParallelismInvariant(t *testing.T) {
-	cube := sceneCube(t)
-	serial, err := Run(cube, Options{Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wide, err := Run(cube, Options{Parallelism: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !serial.Components.Equal(wide.Components, 0) {
-		t.Fatal("components differ across Parallelism settings")
-	}
-	if !serial.Mean.Equal(wide.Mean, 0) || !serial.Transform.Equal(wide.Transform, 0) {
-		t.Fatal("statistics differ across Parallelism settings")
-	}
-}

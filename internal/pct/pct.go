@@ -5,135 +5,7 @@ import (
 
 	"resilientfusion/internal/hsi"
 	"resilientfusion/internal/linalg"
-	"resilientfusion/internal/spectral"
 )
-
-// Options configures the spectral-screening PCT.
-type Options struct {
-	// Threshold is the spectral-angle screening threshold in radians;
-	// 0 selects spectral.DefaultThreshold.
-	Threshold float64
-	// Components is the number of principal components to retain;
-	// 0 selects 3 (the color-composite default).
-	Components int
-	// Solver selects the eigendecomposition algorithm.
-	Solver linalg.EigenSolver
-	// DisableScreening computes statistics over every pixel instead of
-	// the unique set — the plain-PCT baseline of ablation A1.
-	DisableScreening bool
-	// Parallelism is the kernel worker count for the screening,
-	// statistics and transform steps (0 selects GOMAXPROCS; negative
-	// forces serial, matching core.Options.Parallelism). It is a
-	// throughput knob only: every setting produces bit-identical
-	// results, because the kernels reduce over a fixed shard grid in a
-	// fixed order and the screening engine resolves its batches in the
-	// sequential reference's order.
-	Parallelism int
-}
-
-func (o Options) withDefaults() Options {
-	if o.Threshold == 0 {
-		o.Threshold = spectral.DefaultThreshold
-	}
-	if o.Components == 0 {
-		o.Components = 3
-	}
-	return o
-}
-
-// Result is the outcome of the spectral-screening PCT on a cube.
-type Result struct {
-	// Components is the transformed cube: same width/height, Components
-	// bands, band k holding principal component k of each pixel.
-	Components *hsi.Cube
-	// Mean is the unique-set mean vector (step 3).
-	Mean linalg.Vector
-	// Covariance is the unique-set covariance matrix (step 5).
-	Covariance *linalg.Matrix
-	// Eigen is the full eigendecomposition (step 6).
-	Eigen *linalg.Eigen
-	// Transform is the Components×Bands transformation matrix A.
-	Transform *linalg.Matrix
-	// UniqueSetSize is K, the number of unique pixel vectors.
-	UniqueSetSize int
-	// ScreenStats records the screening workload (for the perf model).
-	ScreenStats spectral.Stats
-}
-
-// Run executes the complete sequential spectral-screening PCT —
-// algorithm steps 1–7. Step 8 (color mapping) lives in internal/colormap
-// so the components remain available for analysis.
-func Run(cube *hsi.Cube, opts Options) (*Result, error) {
-	opts = opts.withDefaults()
-	if err := cube.Validate(); err != nil {
-		return nil, err
-	}
-	if opts.Components > cube.Bands {
-		return nil, fmt.Errorf("%w: %d components from %d bands", linalg.ErrDimension, opts.Components, cube.Bands)
-	}
-
-	// Steps 1–2: spectral screening to a unique set (or the whole image
-	// when screening is disabled). PixelRows stages the cube once; the
-	// per-pixel vectors are views into that staging buffer.
-	var (
-		statVecs []linalg.Vector
-		stats    spectral.Stats
-		k        int
-	)
-	pixels := cube.PixelRows()
-	if opts.DisableScreening {
-		statVecs = pixels
-		k = len(pixels)
-	} else {
-		// The batched engine is bit-identical to the sequential
-		// spectral.Screen reference at every parallelism.
-		u, st, err := spectral.ScreenBatched(pixels, opts.Threshold, opts.Parallelism)
-		if err != nil {
-			return nil, err
-		}
-		statVecs = u.Members
-		stats = st
-		k = u.Len()
-	}
-
-	// Step 3: mean vector of the unique set.
-	mean, err := MeanOfPar(statVecs, opts.Parallelism)
-	if err != nil {
-		return nil, err
-	}
-	// Steps 4–5: covariance of the unique set.
-	sum, err := CovarianceSumPar(statVecs, mean, opts.Parallelism)
-	if err != nil {
-		return nil, err
-	}
-	cov, err := Covariance([]*linalg.Matrix{sum}, k)
-	if err != nil {
-		return nil, err
-	}
-	// Step 6: transformation matrix from the eigendecomposition.
-	eig, err := linalg.EigenSymWith(cov, opts.Solver)
-	if err != nil {
-		return nil, err
-	}
-	transform, err := eig.TransformMatrix(opts.Components)
-	if err != nil {
-		return nil, err
-	}
-	// Step 7: transform every pixel of the original cube.
-	comps, err := TransformCubePar(cube, transform, mean, opts.Parallelism)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
-		Components:    comps,
-		Mean:          mean,
-		Covariance:    cov,
-		Eigen:         eig,
-		Transform:     transform,
-		UniqueSetSize: k,
-		ScreenStats:   stats,
-	}, nil
-}
 
 // transformBlockPixels is the fixed pixel block of the transform kernels:
 // each block is staged to float64 once and pushed through one blocked
@@ -141,20 +13,14 @@ func Run(cube *hsi.Cube, opts Options) (*Result, error) {
 // them is trivially deterministic.
 const transformBlockPixels = 512
 
-// TransformCube applies Cs = A·(Is − mean) to every pixel — algorithm
-// step 7, the kernel each worker runs over its sub-cube — using all
-// cores. See TransformCubePar.
-func TransformCube(cube *hsi.Cube, transform *linalg.Matrix, mean linalg.Vector) (*hsi.Cube, error) {
-	return TransformCubePar(cube, transform, mean, 0)
-}
-
-// TransformCubePar is TransformCube with an explicit parallelism degree
-// (0 selects GOMAXPROCS). The mean is folded into a per-component bias
-// (A·(v−mean) = A·v − A·mean), pixel blocks are staged to float64 and
-// projected with one blocked GEMM each — so the whole step is three
-// passes over each block (stage, GEMM, bias+narrow) instead of five
-// passes per pixel, and allocations scale with the block count, never the
-// pixel count.
+// TransformCubePar applies Cs = A·(Is − mean) to every pixel — algorithm
+// step 7, the kernel each worker runs over its sub-cube — with the given
+// parallelism degree (0 selects GOMAXPROCS). The mean is folded into a
+// per-component bias (A·(v−mean) = A·v − A·mean), pixel blocks are
+// staged to float64 and projected with one blocked GEMM each — so the
+// whole step is three passes over each block (stage, GEMM, bias+narrow)
+// instead of five passes per pixel, and allocations scale with the block
+// count, never the pixel count.
 func TransformCubePar(cube *hsi.Cube, transform *linalg.Matrix, mean linalg.Vector, parallelism int) (*hsi.Cube, error) {
 	if transform.Cols != cube.Bands || len(mean) != cube.Bands {
 		return nil, fmt.Errorf("%w: transform %dx%d, mean %d, bands %d",

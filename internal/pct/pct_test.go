@@ -2,26 +2,12 @@ package pct
 
 import (
 	"errors"
-	"math"
 	"math/rand"
 	"testing"
 
 	"resilientfusion/internal/hsi"
 	"resilientfusion/internal/linalg"
 )
-
-func sceneCube(t *testing.T) *hsi.Cube {
-	t.Helper()
-	s, err := hsi.GenerateScene(hsi.SceneSpec{
-		Width: 32, Height: 32, Bands: 24, Seed: 5,
-		NoiseSigma: 3, Illumination: 0.1,
-		OpenVehicles: 1, CamouflagedVehicles: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s.Cube
-}
 
 func TestMeanOf(t *testing.T) {
 	vs := []linalg.Vector{{1, 10}, {3, 30}}
@@ -120,145 +106,13 @@ func TestCovarianceErrors(t *testing.T) {
 	}
 }
 
-func TestRunProducesOrderedComponents(t *testing.T) {
-	cube := sceneCube(t)
-	res, err := Run(cube, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Components.Bands != 3 {
-		t.Fatalf("components bands = %d", res.Components.Bands)
-	}
-	if res.Components.Width != cube.Width || res.Components.Height != cube.Height {
-		t.Fatal("component geometry mismatch")
-	}
-	if res.UniqueSetSize == 0 || res.UniqueSetSize > cube.Pixels() {
-		t.Fatalf("unique set size %d", res.UniqueSetSize)
-	}
-	// Eigenvalues descending and non-negative (covariance is PSD).
-	for i, ev := range res.Eigen.Values {
-		if ev < -1e-6*(1+res.Covariance.FrobeniusNorm()) {
-			t.Fatalf("negative eigenvalue %g", ev)
-		}
-		if i > 0 && ev > res.Eigen.Values[i-1]+1e-9 {
-			t.Fatal("eigenvalues not sorted")
-		}
-	}
-	// Empirical variance of PC planes must be decreasing: PCT packs
-	// information into the front components.
-	var1 := planeVariance(res.Components, 0)
-	var3 := planeVariance(res.Components, 2)
-	if var1 <= var3 {
-		t.Fatalf("PC1 variance %g <= PC3 variance %g", var1, var3)
-	}
-}
-
-func planeVariance(c *hsi.Cube, band int) float64 {
-	plane, _ := c.Band(band)
-	var mean float64
-	for _, v := range plane {
-		mean += v
-	}
-	mean /= float64(len(plane))
-	var ss float64
-	for _, v := range plane {
-		ss += (v - mean) * (v - mean)
-	}
-	return ss / float64(len(plane))
-}
-
-func TestRunDecorrelatesComponents(t *testing.T) {
-	cube := sceneCube(t)
-	res, err := Run(cube, Options{Components: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Correlation between PC planes over the *unique set statistics*
-	// should be near zero; empirically over all pixels it is small.
-	p0, _ := res.Components.Band(0)
-	p1, _ := res.Components.Band(1)
-	r := correlation(p0, p1)
-	if math.Abs(r) > 0.35 {
-		t.Fatalf("PC1/PC2 correlation %.3f too high", r)
-	}
-}
-
-func correlation(a, b []float64) float64 {
-	n := float64(len(a))
-	var ma, mb float64
-	for i := range a {
-		ma += a[i]
-		mb += b[i]
-	}
-	ma /= n
-	mb /= n
-	var sab, saa, sbb float64
-	for i := range a {
-		da, db := a[i]-ma, b[i]-mb
-		sab += da * db
-		saa += da * da
-		sbb += db * db
-	}
-	if saa == 0 || sbb == 0 {
-		return 0
-	}
-	return sab / math.Sqrt(saa*sbb)
-}
-
-func TestRunWithoutScreening(t *testing.T) {
-	cube := sceneCube(t)
-	res, err := Run(cube, Options{DisableScreening: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.UniqueSetSize != cube.Pixels() {
-		t.Fatalf("plain PCT should use all %d pixels, got %d", cube.Pixels(), res.UniqueSetSize)
-	}
-	if res.ScreenStats.Comparisons != 0 {
-		t.Fatal("screening stats recorded while disabled")
-	}
-}
-
-func TestRunScreeningChangesEmphasis(t *testing.T) {
-	cube := sceneCube(t)
-	with, err := Run(cube, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	without, err := Run(cube, Options{DisableScreening: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Screening must shrink the statistics set dramatically on highly
-	// correlated imagery.
-	if with.UniqueSetSize >= without.UniqueSetSize/4 {
-		t.Fatalf("screening kept %d of %d pixels", with.UniqueSetSize, without.UniqueSetSize)
-	}
-	// And the resulting transforms should differ (it reweights rare
-	// materials).
-	if with.Transform.Equal(without.Transform, 1e-6) {
-		t.Fatal("screening had no effect on the transform")
-	}
-}
-
-func TestRunValidation(t *testing.T) {
-	cube := sceneCube(t)
-	if _, err := Run(cube, Options{Components: 999}); !errors.Is(err, linalg.ErrDimension) {
-		t.Fatalf("too many components err = %v", err)
-	}
-	bad := &hsi.Cube{Width: 2, Height: 2, Bands: 2, Data: []float32{1}}
-	if _, err := Run(bad, Options{}); !errors.Is(err, hsi.ErrShape) {
-		t.Fatalf("invalid cube err = %v", err)
-	}
-}
-
 func TestTransformCubeMatchesManual(t *testing.T) {
 	cube := hsi.MustNewCube(2, 1, 2)
 	cube.SetPixel(0, 0, linalg.Vector{3, 4})
 	cube.SetPixel(1, 0, linalg.Vector{5, 6})
 	mean := linalg.Vector{1, 2}
 	tr := linalg.NewMatrixFrom(2, 2, []float64{1, 0, 0, 2}) // diag(1,2)
-	out, err := TransformCube(cube, tr, mean)
+	out, err := TransformCubePar(cube, tr, mean, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,22 +122,25 @@ func TestTransformCubeMatchesManual(t *testing.T) {
 	if !out.Pixel(1, 0).Equal(linalg.Vector{4, 8}, 1e-6) {
 		t.Fatalf("pixel1 = %v", out.Pixel(1, 0))
 	}
-	if _, err := TransformCube(cube, linalg.NewMatrix(2, 3), mean); !errors.Is(err, linalg.ErrDimension) {
+	if _, err := TransformCubePar(cube, linalg.NewMatrix(2, 3), mean, 0); !errors.Is(err, linalg.ErrDimension) {
 		t.Fatalf("bad transform err = %v", err)
 	}
 }
 
-func TestRunDeterministic(t *testing.T) {
-	cube := sceneCube(t)
-	a, err := Run(cube, Options{})
+// CovarianceOf is the single-shot covariance of a vector set about its own
+// mean — the sequential composition of steps 3–5.
+func CovarianceOf(vectors []linalg.Vector) (*linalg.Matrix, linalg.Vector, error) {
+	mean, err := MeanOf(vectors)
 	if err != nil {
-		t.Fatal(err)
+		return nil, nil, err
 	}
-	b, err := Run(cube, Options{})
+	sum, err := CovarianceSum(vectors, mean)
 	if err != nil {
-		t.Fatal(err)
+		return nil, nil, err
 	}
-	if !a.Components.Equal(b.Components, 0) {
-		t.Fatal("Run is not deterministic")
+	cov, err := Covariance([]*linalg.Matrix{sum}, len(vectors))
+	if err != nil {
+		return nil, nil, err
 	}
+	return cov, mean, nil
 }

@@ -1,8 +1,9 @@
-// Package pct implements the sequential spectral-screening Principal
-// Component Transform — the reference implementation of the paper's
-// 8-step algorithm against which every distributed configuration is
-// validated. The distributed pipeline in internal/core reuses these
-// kernels inside its workers.
+// Package pct holds the statistics and transform kernels of the
+// spectral-screening Principal Component Transform — steps 3–5 (mean and
+// covariance of the unique set) and step 7 (projecting pixels onto the
+// principal components). internal/core runs them inside its workers and
+// in core.Sequential, the one-thread reference pipeline every distributed
+// configuration is checked against.
 //
 // The statistics and transform kernels are blocked and optionally
 // multicore, with one shared determinism contract: inputs are cut into a
@@ -205,22 +206,4 @@ func Covariance(partials []*linalg.Matrix, count int) (*linalg.Matrix, error) {
 	// the distributed/sequential equality tests are exact.
 	cov.Symmetrize()
 	return cov, nil
-}
-
-// CovarianceOf is the single-shot covariance of a vector set about its own
-// mean — the sequential composition of steps 3–5.
-func CovarianceOf(vectors []linalg.Vector) (*linalg.Matrix, linalg.Vector, error) {
-	mean, err := MeanOf(vectors)
-	if err != nil {
-		return nil, nil, err
-	}
-	sum, err := CovarianceSum(vectors, mean)
-	if err != nil {
-		return nil, nil, err
-	}
-	cov, err := Covariance([]*linalg.Matrix{sum}, len(vectors))
-	if err != nil {
-		return nil, nil, err
-	}
-	return cov, mean, nil
 }

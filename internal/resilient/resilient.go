@@ -133,23 +133,11 @@ type Config struct {
 	// HeartbeatPeriod/2).
 	GuardianPoll float64
 	// PhysBase offsets every physical thread ID this runtime allocates
-	// (guardian = PhysBase, replicas from PhysBase+1, couriers mirrored
-	// from the top of the ID space). It lets several runtimes — one per
-	// in-flight cluster job — share a single long-lived scplib.System
-	// without colliding. Zero keeps the historical layout.
+	// (guardian = PhysBase, replicas from PhysBase+1). It lets several
+	// runtimes — one per in-flight cluster job — share a single
+	// long-lived scplib.System without colliding. Zero keeps the
+	// historical layout.
 	PhysBase scplib.ThreadID
-}
-
-// DefaultConfig returns the evaluation configuration of §4 with
-// regeneration enabled. The replication level (two in the paper) is
-// the number of placements callers pass to Add.
-func DefaultConfig(nodes int) Config {
-	return Config{
-		Nodes:           nodes,
-		HeartbeatPeriod: 0.25,
-		FailTimeout:     1.0,
-		Regenerate:      true,
-	}
 }
 
 func (c Config) withDefaults() Config {

@@ -26,7 +26,6 @@ type Runtime struct {
 	deadNode map[int]bool
 
 	guardianPhys scplib.ThreadID
-	nextCourier  int32
 
 	// Transport-level liveness intake (cluster runs). The guardian merges
 	// these with heartbeat ages each poll: nodeSeen refreshes members on
@@ -47,7 +46,6 @@ type Runtime struct {
 type Stats struct {
 	Detections    int // replica failures detected by heartbeat timeout
 	Regenerations int // replacement replicas spawned
-	Migrations    int // proactive replica relocations (mobility)
 	ViewChanges   int // view broadcasts issued
 	// DetectionLatency and RegenerationLatency record, per event, the
 	// seconds between the (approximate) failure instant — last heartbeat
@@ -138,9 +136,6 @@ func (rt *Runtime) ThreadExited(phys scplib.ThreadID) {
 	rt.exited[phys] = now
 	rt.mu.Unlock()
 }
-
-// Config returns the effective configuration.
-func (rt *Runtime) Config() Config { return rt.cfg }
 
 // SetTrace attaches a span recorder: detection and regeneration events
 // are stamped onto it alongside the Stats counters. A nil recorder (the

@@ -29,14 +29,6 @@ func (t *Tiler) Tile(rr hsi.RowRange) (*hsi.Cube, error) {
 	return t.r.ReadRows(rr.Y0, rr.Y1)
 }
 
-// Tiles partitions the scene's rows into parts balanced contiguous
-// ranges — the same decomposition the manager derives from an in-memory
-// cube's height.
-func (t *Tiler) Tiles(parts int) []hsi.RowRange {
-	_, lines, _ := t.r.Shape()
-	return hsi.Partition(lines, parts)
-}
-
 // Digest returns the SHA-256 of the scene's canonical HSIC (BIP float32)
 // encoding, streamed through bounded row windows — it never materializes
 // the cube, yet equals hsi.Cube.Digest of the fully-loaded scene. The

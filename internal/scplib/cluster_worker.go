@@ -138,12 +138,6 @@ func DialCluster(addr string, window time.Duration, reg *BodyRegistry) (*Cluster
 // Node returns the slot the coordinator assigned this worker.
 func (w *ClusterWorker) Node() int { return w.node }
 
-// System exposes the worker's underlying RealSystem (for diagnostics).
-func (w *ClusterWorker) System() *RealSystem { return w.sys }
-
-// LogTo forwards a logger to the underlying system.
-func (w *ClusterWorker) LogTo(fn func(format string, args ...any)) { w.sys.LogTo = fn }
-
 func (w *ClusterWorker) startPinger() {
 	go func() {
 		t := time.NewTicker(workerPingPeriod)

@@ -81,12 +81,6 @@ func NewCluster(n int, rate float64) (*simnet.Exec, []*simnet.Node) {
 	return x, nodes
 }
 
-// Exec exposes the underlying executor (failure injection hooks in tests).
-func (s *SimSystem) Exec() *simnet.Exec { return s.exec }
-
-// Nodes returns the cluster nodes.
-func (s *SimSystem) Nodes() []*simnet.Node { return s.nodes }
-
 // Spawn adds a thread on its placement node. Spawning while the
 // simulation runs (from inside a thread body) takes effect immediately at
 // the current virtual time — this is how regeneration creates replacement

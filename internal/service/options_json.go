@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"reflect"
 	"strings"
 	"unicode"
 
@@ -71,6 +72,10 @@ func decodeOptionsBody(r io.Reader) (core.Options, error) {
 		if errors.Is(err, io.EOF) {
 			return core.Options{}, nil
 		}
+		var te *json.UnmarshalTypeError
+		if errors.As(err, &te) {
+			return core.Options{}, typeMismatch(te)
+		}
 		return core.Options{}, fmt.Errorf("bad options JSON: %w", err)
 	}
 	// A second document (or trailing junk) is a malformed request, not
@@ -79,6 +84,32 @@ func decodeOptionsBody(r io.Reader) (core.Options, error) {
 		return core.Options{}, errors.New("bad options JSON: trailing data after options object")
 	}
 	return lowerOptions(o)
+}
+
+// typeMismatch restates encoding/json's type error in the request's own
+// terms — the JSON key, the JSON type that arrived and the one expected —
+// where the decoder's text names the Go decode target, which changes
+// with every rename of the Go types.
+func typeMismatch(te *json.UnmarshalTypeError) error {
+	got, _, _ := strings.Cut(te.Value, " ") // "number 1.5" → "number"
+	if got == "bool" {
+		got = "boolean"
+	}
+	var want string
+	switch te.Type.Kind() {
+	case reflect.Int:
+		want = "an integer"
+	case reflect.Float64:
+		want = "a number"
+	case reflect.String:
+		want = "a string"
+	default: // the options object itself
+		want = "an object"
+	}
+	if te.Field == "" {
+		return fmt.Errorf("bad options JSON: got a JSON %s, want %s", got, want)
+	}
+	return fmt.Errorf("option %q: got a JSON %s, want %s", te.Field, got, want)
 }
 
 // duplicateKey finds a top-level key given twice in a JSON object —

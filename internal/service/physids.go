@@ -8,10 +8,8 @@ import (
 )
 
 // Job ranges start at physBase0, each physStride wide: room for a job's
-// guardian, replicas, regenerations, and couriers. Bases stay below
-// physMax: courier IDs mirror downward from 1<<30, so capping replica
-// ranges at 1<<29 keeps the two ID spaces disjoint no matter how many
-// jobs have run, and the int32 ThreadID never overflows.
+// guardian, replicas and regenerations. Bases stay below physMax, so no
+// matter how many jobs have run the int32 ThreadID never overflows.
 const (
 	physBase0  = scplib.ThreadID(1 << 20)
 	physStride = scplib.ThreadID(1 << 16)

@@ -73,6 +73,11 @@ func TestWireGolden(t *testing.T) {
 	rec := httptest.NewRecorder()
 	writeAPIError(rec, ErrQueueFull)
 	out.WriteString(recordedResponse(rec))
+	const badOption = `{"granularity":"abc"}`
+	section("POST /v2/scenes/scene-1/fuse " + badOption)
+	rec = httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v2/scenes/scene-1/fuse", strings.NewReader(badOption)))
+	out.WriteString(recordedResponse(rec))
 
 	pool.metrics.jobsSubmitted.Add(6)
 	pool.metrics.jobsCompleted.Add(4)

@@ -148,22 +148,3 @@ func (x *Exec) Run() error {
 	}
 	return nil
 }
-
-// Errors returns the non-nil errors returned by finished process bodies,
-// in spawn order. ErrKilled results are included — callers filter.
-func (x *Exec) Errors() []error {
-	var out []error
-	for _, p := range x.procs {
-		if p.err != nil {
-			out = append(out, fmt.Errorf("%s: %w", p.name, p.err))
-		}
-	}
-	return out
-}
-
-// Procs returns all spawned processes in spawn order.
-func (x *Exec) Procs() []*Proc { return x.procs }
-
-// EventCount returns the number of pending (including cancelled-but-not-
-// yet-popped) events — a diagnostic for schedule churn.
-func (x *Exec) EventCount() int { return len(x.events) }

@@ -30,34 +30,10 @@ func NewMailbox[T any](x *Exec) *Mailbox[T] {
 	return &Mailbox[T]{x: x}
 }
 
-// Len returns the number of queued items.
-func (m *Mailbox[T]) Len() int { return len(m.items) }
-
-// Deliver schedules item to be enqueued at absolute virtual time t.
-func (m *Mailbox[T]) Deliver(t float64, item T) {
-	m.x.Schedule(t, func() {
-		m.items = append(m.items, item)
-		m.wakeOne()
-	})
-}
-
 // Put enqueues item immediately (current virtual time).
 func (m *Mailbox[T]) Put(item T) {
 	m.items = append(m.items, item)
 	m.wakeOne()
-}
-
-// Close marks the mailbox closed; blocked receivers are woken and drain
-// remaining items before seeing ErrMailboxClosed.
-func (m *Mailbox[T]) Close() {
-	m.x.Schedule(m.x.now, func() {
-		m.closed = true
-		for len(m.waiters) > 0 {
-			w := m.waiters[0]
-			m.waiters = m.waiters[1:]
-			w.p.wake(w.tok)
-		}
-	})
 }
 
 // wakeOne wakes the longest-waiting receiver, if any. Must run in

@@ -65,9 +65,6 @@ func (n *Node) attach(p *Proc) { n.residents[p] = struct{}{} }
 
 func (n *Node) detach(p *Proc) { delete(n.residents, p) }
 
-// Residents returns the number of attached processes.
-func (n *Node) Residents() int { return len(n.residents) }
-
 // Fail marks the node failed and kills every resident process. Active
 // computations unwind with ErrKilled.
 func (n *Node) Fail() {
@@ -186,6 +183,3 @@ func (n *Node) Compute(p *Proc, flops float64) error {
 	}
 	return p.checkKilled()
 }
-
-// Utilization returns the number of active jobs (for tests and metrics).
-func (n *Node) ActiveJobs() int { return len(n.jobs) }

@@ -76,23 +76,11 @@ func (x *Exec) SpawnNow(name string, body func(p *Proc) error) *Proc {
 	return x.Spawn(name, x.now, body)
 }
 
-// Name returns the process name.
-func (p *Proc) Name() string { return p.name }
-
-// Err returns the body's result (nil until done).
-func (p *Proc) Err() error { return p.err }
-
 // Done reports whether the body has returned.
 func (p *Proc) Done() bool { return p.state == procDone }
 
 // Killed reports whether the process has been killed.
 func (p *Proc) Killed() bool { return p.killed }
-
-// Exec returns the owning executor.
-func (p *Proc) Exec() *Exec { return p.x }
-
-// Now returns current virtual time.
-func (p *Proc) Now() float64 { return p.x.now }
 
 // SetNode records the node this process is resident on; node failure then
 // kills the process. Pass nil to detach.
@@ -105,9 +93,6 @@ func (p *Proc) SetNode(n *Node) {
 		n.attach(p)
 	}
 }
-
-// Node returns the resident node, if any.
-func (p *Proc) Node() *Node { return p.node }
 
 // wake resumes the process if it is still in the wait identified by tok.
 // It must be called from scheduler context (an event fn) or from the
@@ -146,20 +131,6 @@ func (p *Proc) checkKilled() error {
 		return ErrKilled
 	}
 	return nil
-}
-
-// Sleep blocks for dt virtual seconds.
-func (p *Proc) Sleep(dt float64) error {
-	if err := p.checkKilled(); err != nil {
-		return err
-	}
-	if dt < 0 {
-		dt = 0
-	}
-	tok := p.beginWait()
-	p.x.After(dt, func() { p.wake(tok) })
-	p.yield()
-	return p.checkKilled()
 }
 
 // Kill marks the process killed and, if it is blocked, schedules an

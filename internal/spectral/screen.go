@@ -158,24 +158,6 @@ func (u *UniqueSet) scanRange(v linalg.Vector, nv, cosThr float64, lo, hi int) (
 	return false, comparisons
 }
 
-// angleCached computes the spectral angle between v (with precomputed norm
-// nv) and member i. Kept for callers that need the actual angle
-// (MinPairwiseAngle, diagnostics); the screening loops use withinCached.
-func (u *UniqueSet) angleCached(v linalg.Vector, nv float64, i int) float64 {
-	m := u.Members[i]
-	nm := u.norms[i]
-	if a, degenerate := zeroAngle(nv, nm); degenerate {
-		return a
-	}
-	c := v.Dot(m) / (nv * nm)
-	if c > 1 {
-		c = 1
-	} else if c < -1 {
-		c = -1
-	}
-	return math.Acos(c)
-}
-
 // Insert screens candidate v against the current members and adds it when
 // it is farther than the threshold from all of them. It reports whether v
 // was added and how many comparisons were made. The vector is stored by
@@ -211,26 +193,6 @@ func (u *UniqueSet) Insert(v linalg.Vector) (added bool, comparisons int) {
 	u.Members = append(u.Members, v)
 	u.norms = append(u.norms, nv)
 	return true, comparisons
-}
-
-// Covers reports whether v is within the threshold of some member.
-func (u *UniqueSet) Covers(v linalg.Vector) bool {
-	covered, _ := u.scanRange(v, v.Norm(), u.cosThreshold(), 0, len(u.Members))
-	return covered
-}
-
-// MinPairwiseAngle returns the smallest angle between distinct members
-// (π for sets smaller than 2); used to verify the screening invariant.
-func (u *UniqueSet) MinPairwiseAngle() float64 {
-	min := math.Pi
-	for i := 0; i < len(u.Members); i++ {
-		for j := i + 1; j < len(u.Members); j++ {
-			if a := u.angleCached(u.Members[i], u.norms[i], j); a < min {
-				min = a
-			}
-		}
-	}
-	return min
 }
 
 // Screen builds a unique set from vectors in order — the sequential

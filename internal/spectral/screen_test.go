@@ -374,3 +374,41 @@ func TestMoveToFrontPrependInPlace(t *testing.T) {
 		t.Fatalf("hit not promoted: scan[0] = %d", u.scan[0])
 	}
 }
+
+// Covers reports whether v is within the threshold of some member.
+func (u *UniqueSet) Covers(v linalg.Vector) bool {
+	covered, _ := u.scanRange(v, v.Norm(), u.cosThreshold(), 0, len(u.Members))
+	return covered
+}
+
+// MinPairwiseAngle returns the smallest angle between distinct members
+// (π for sets smaller than 2); used to verify the screening invariant.
+func (u *UniqueSet) MinPairwiseAngle() float64 {
+	min := math.Pi
+	for i := 0; i < len(u.Members); i++ {
+		for j := i + 1; j < len(u.Members); j++ {
+			if a := u.angleCached(u.Members[i], u.norms[i], j); a < min {
+				min = a
+			}
+		}
+	}
+	return min
+}
+
+// angleCached computes the spectral angle between v (with precomputed norm
+// nv) and member i, for the tests that need the actual angle; the
+// screening loops use withinCached.
+func (u *UniqueSet) angleCached(v linalg.Vector, nv float64, i int) float64 {
+	m := u.Members[i]
+	nm := u.norms[i]
+	if a, degenerate := zeroAngle(nv, nm); degenerate {
+		return a
+	}
+	c := v.Dot(m) / (nv * nm)
+	if c > 1 {
+		c = 1
+	} else if c < -1 {
+		c = -1
+	}
+	return math.Acos(c)
+}

@@ -178,15 +178,6 @@ func (j *Journal) Pending() []PendingJob {
 	return out
 }
 
-// Drop removes num from the pending view without writing a record — for
-// recovery-time invalidation (e.g. a cube job whose spooled input is
-// gone, already journaled as failed through the normal path).
-func (j *Journal) Drop(num uint64) {
-	j.mu.Lock()
-	delete(j.pending, num)
-	j.mu.Unlock()
-}
-
 // MaxNum returns the highest job number the log has seen — terminal
 // jobs included — so job IDs stay unique across restarts.
 func (j *Journal) MaxNum() uint64 {

@@ -136,18 +136,3 @@ func TestJournalCompact(t *testing.T) {
 		t.Fatalf("MaxNum = %d, want 21", j2.MaxNum())
 	}
 }
-
-func TestJournalDrop(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "journal.log")
-	j, _ := openJournal(t, path)
-	if err := j.Append(JobRecord{Op: JobSubmit, Num: 1, ID: "job-1"}); err != nil {
-		t.Fatal(err)
-	}
-	j.Drop(1)
-	if len(j.Pending()) != 0 {
-		t.Fatal("Drop left the job pending")
-	}
-	if j.MaxNum() != 1 {
-		t.Fatal("Drop must not roll back MaxNum")
-	}
-}

@@ -3,9 +3,9 @@
 // format, a bounded per-job span recorder for stage timelines, and
 // log/slog helpers bridging the legacy LogTo(format, ...) callbacks.
 //
-// Hot paths are lock-free: counters and gauges are atomic.Int64,
-// histogram buckets are atomic counters and the float64 sum is a CAS
-// loop over its bits. Registration (cold path) takes the registry
+// Hot paths are lock-free: counters are atomic.Int64, gauges are
+// computed at scrape time, histogram buckets are atomic counters and the
+// float64 sum is a CAS loop over its bits. Registration (cold path) takes the registry
 // mutex and panics on duplicate or malformed names, so a misspelled
 // metric fails the first test that touches it rather than corrupting
 // the exposition.
@@ -133,31 +133,6 @@ func (r *Registry) Counter(name, help string) *Counter {
 		fmt.Fprintf(sb, "%s %d\n", name, c.Value())
 	}})
 	return c
-}
-
-// Gauge is a settable int64 with an atomic hot path.
-type Gauge struct{ v atomic.Int64 }
-
-// Set stores n.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add adds n (may be negative).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
-// Inc adds one; Dec subtracts one.
-func (g *Gauge) Inc() { g.v.Add(1) }
-func (g *Gauge) Dec() { g.v.Add(-1) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
-
-// Gauge registers and returns a gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	g := &Gauge{}
-	r.add(&metric{name: name, help: help, typ: "gauge", collect: func(sb *strings.Builder) {
-		fmt.Fprintf(sb, "%s %d\n", name, g.Value())
-	}})
-	return g
 }
 
 // GaugeFunc registers a gauge whose value is computed at scrape time —
